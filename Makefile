@@ -5,7 +5,8 @@
 #                       when ruff is not installed; CI always installs it)
 #   make smoke-batch  - fast perf gate: batch/scalar equivalence (1-D and
 #                       2-D, including the flat cell-directory property
-#                       tests), sharding/codec round-trips, the durability
+#                       tests), the O(batch) exact-fallback allocation
+#                       tests, sharding/codec round-trips, the durability
 #                       fault tests (WAL crash-point sweep, degraded fleet
 #                       reads, fsck, serve resilience) and the scaled-down
 #                       shard-scaling bench (which emits
@@ -71,6 +72,7 @@ lint:
 
 smoke-batch:
 	$(PYTHON) -m pytest -x -q tests/test_batch_equivalence.py tests/test_batch_smoke.py \
+		tests/test_functions_cumulative.py tests/test_baselines_exact.py \
 		tests/test_directory.py tests/test_sharding.py tests/test_codec.py \
 		tests/test_codec_compat.py tests/test_fitting_incremental.py \
 		tests/test_stream_updatable.py tests/test_stream_2d.py \

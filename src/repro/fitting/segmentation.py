@@ -295,14 +295,16 @@ class _PrefixSearcher:
             and stop > self._best_stop
         ):
             extension = slice(self._best_stop, stop)
-            residual = np.abs(
-                self._values[extension]
-                - np.asarray(self._best.polynomial(self._keys[extension]))
-            )
             # NaN-safe: evaluating the incumbent far outside its fitted span
             # can overflow (degenerately scaled interpolation fits); a
             # non-finite residual must fail the certificate, and Python's
-            # ``max(0.0, nan)`` would silently return 0.0.
+            # ``max(0.0, nan)`` would silently return 0.0.  The overflow is
+            # expected here, so it must not surface as a RuntimeWarning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = np.abs(
+                    self._values[extension]
+                    - np.asarray(self._best.polynomial(self._keys[extension]))
+                )
             worst_new = float(residual.max())
             extended = max(self._cert_error, worst_new)
             if np.isfinite(worst_new) and extended <= self._delta:

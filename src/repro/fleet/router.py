@@ -507,6 +507,7 @@ class FleetRouter:
                 guarantee=guarantee,
                 exact_for_mask=lambda mask: self.exact_batch(lows[mask], highs[mask]),
                 absolute_fallback=False,
+                cumulative=self._cumulative,
             )
         with trace.span("merge", partitions=len(plans)):
             return resolve_batch_certificates(
@@ -515,6 +516,7 @@ class FleetRouter:
                 guarantee=guarantee,
                 exact_for_mask=lambda mask: self.exact_batch(lows[mask], highs[mask]),
                 absolute_fallback=False,
+                cumulative=self._cumulative,
             )
 
     def _query_batch_degraded(

@@ -15,7 +15,20 @@ import numpy as np
 from ..config import Aggregate
 from ..errors import DataError, QueryError
 
-__all__ = ["CumulativeFunction", "build_cumulative_function"]
+__all__ = ["CumulativeFunction", "build_cumulative_function", "prefix_at"]
+
+
+def prefix_at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``[0, *values][idx]`` without materializing the padded array.
+
+    ``idx`` are ``searchsorted`` insertion points into the keys: 0 means "no
+    key at or below", i.e. the empty prefix.  Gathering ``values[idx - 1]``
+    and zeroing the ``idx == 0`` slots costs O(len(idx)) instead of the O(n)
+    copy a padded prefix array needs on every call, and is bit-identical.
+    """
+    gathered = values[idx - 1]
+    gathered[idx == 0] = 0.0
+    return gathered
 
 
 def _validate_key_measure(keys: np.ndarray, measures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,11 +90,9 @@ class CumulativeFunction:
         """
         k_arr = np.asarray(k, dtype=np.float64)
         idx = np.searchsorted(self.keys, k_arr, side="right")
-        padded = np.concatenate(([0.0], self.values))
-        result = padded[idx]
         if np.isscalar(k) or k_arr.ndim == 0:
-            return float(result)
-        return result
+            return float(self.values[idx - 1]) if idx > 0 else 0.0
+        return prefix_at(self.values, idx)
 
     def range_sum(self, low: float, high: float) -> float:
         """Exact range aggregate over ``[low, high]`` (Equation 5).
@@ -107,9 +118,8 @@ class CumulativeFunction:
             raise QueryError("lows and highs must have matching shapes")
         if np.any(highs < lows):
             raise QueryError("invalid range: high < low")
-        padded = np.concatenate(([0.0], self.values))
-        upper = padded[np.searchsorted(self.keys, highs, side="right")]
-        lower = padded[np.searchsorted(self.keys, lows, side="left")]
+        upper = prefix_at(self.values, np.searchsorted(self.keys, highs, side="right"))
+        lower = prefix_at(self.values, np.searchsorted(self.keys, lows, side="left"))
         return upper - lower
 
     def slice_points(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:

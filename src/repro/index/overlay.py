@@ -215,6 +215,7 @@ class DirectoryOverlay:
             guarantee=guarantee,
             exact_for_mask=lambda mask: self.exact_batch(lows[mask], highs[mask]),
             absolute_fallback=False,
+            cumulative=self.aggregate.is_cumulative,
         )
 
     # ------------------------------------------------------------------ #

@@ -26,6 +26,8 @@ certificate fails.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..baselines.exact import KeyCumulativeArray
@@ -322,6 +324,11 @@ class PolyFitIndex:
             )
         approx = self._approximate(query)
         bound = self._certified_bound
+        if self._aggregate.is_cumulative and not math.isfinite(approx):
+            # Fail closed, like the batch path: an overflowed SUM/COUNT
+            # estimate is never certified, whatever the guarantee.
+            exact = self._exact(query)
+            return QueryResult(value=exact, guaranteed=True, exact_fallback=True, error_bound=0.0)
 
         if guarantee is None:
             return QueryResult(value=approx, guaranteed=True, error_bound=bound)
@@ -480,6 +487,7 @@ class PolyFitIndex:
             exact_for_mask=lambda mask: self.exact_batch(lows[mask], highs[mask]),
             absolute_fallback=False,
             certified=certified,
+            cumulative=self._aggregate.is_cumulative,
         )
 
     # ------------------------------------------------------------------ #

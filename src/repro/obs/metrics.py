@@ -78,6 +78,9 @@ DEFAULT_LATENCY_BUCKETS = log_buckets(1e-5, 10.0, 25)
 # Power-of-two-ish size buckets for batch sizes / buffer fills.
 SIZE_BUCKETS = tuple(float(2**i) for i in range(17))  # 1 .. 65536
 
+#: ``Histogram.observe_many`` bins inputs up to this size one value at a time.
+_SMALL_BATCH = 32
+
 
 # ---------------------------------------------------------------------------
 # instruments
@@ -187,9 +190,23 @@ class Histogram:
                 self._max = value
 
     def observe_many(self, values: Iterable[float]) -> None:
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.float64)
-        if arr.size == 0:
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        if len(values) <= _SMALL_BATCH:
+            # A coalesced flush is often a handful of requests: below a few
+            # dozen values a bisect each beats the vectorized path's fixed
+            # NumPy cost (~15 us), and bins exactly like ``observe``.
+            bounds = self._bounds
+            with self._lock:
+                for value in values:
+                    value = float(value)
+                    self._counts[bisect_left(bounds, value)] += 1
+                    self._sum += value
+                    self._count += 1
+                    if value > self._max:
+                        self._max = value
             return
+        arr = np.asarray(values, dtype=np.float64)
         idx = np.searchsorted(np.asarray(self._bounds), arr, side="left")
         binned = np.bincount(idx, minlength=len(self._counts))
         total = float(arr.sum())

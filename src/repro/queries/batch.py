@@ -72,6 +72,7 @@ def resolve_batch_certificates(
     exact_for_mask: Callable[[np.ndarray], np.ndarray],
     absolute_fallback: bool,
     certified: np.ndarray | None = None,
+    cumulative: bool = True,
 ) -> BatchQueryResult:
     """Apply guarantee semantics to a batch of approximate answers.
 
@@ -103,6 +104,14 @@ def resolve_batch_certificates(
         that evaluate the comparison inside the same compiled pass.  Ignored
         unless the guarantee is relative; when omitted the comparison runs
         here.
+    cumulative:
+        Whether the answers are SUM/COUNT (every exact answer is finite).
+        Then a non-finite approximation — an overflowed polynomial
+        evaluation — fails closed: it is never certified and takes the
+        exact path under every guarantee kind, including ``None`` and a
+        precomputed ``certified`` mask (where ``+inf >= threshold`` would
+        otherwise pass).  MAX/MIN callers pass ``False``: their NaN marks an
+        empty range and is a legitimate answer.
 
     NaN approximations (empty MAX/MIN ranges) fail the relative certificate
     comparison and take the exact path, matching the scalar implementations.
@@ -111,34 +120,32 @@ def resolve_batch_certificates(
     n = approx.size
     bounds = np.empty(n, dtype=np.float64)
     bounds[:] = error_bound  # broadcasts a scalar, copies an (N,) array
-    no_fallback = np.zeros(n, dtype=bool)
 
     if guarantee is None:
-        return BatchQueryResult(approx, np.ones(n, dtype=bool), no_fallback, bounds)
-
-    if guarantee.kind is GuaranteeKind.ABSOLUTE:
+        guaranteed = np.ones(n, dtype=bool)
+        fallback = np.zeros(n, dtype=bool)
+    elif guarantee.kind is GuaranteeKind.ABSOLUTE:
         met = bounds <= guarantee.epsilon + 1e-12
-        if met.all():
-            return BatchQueryResult(approx, np.ones(n, dtype=bool), no_fallback, bounds)
-        if not absolute_fallback:
-            return BatchQueryResult(approx, met, no_fallback, bounds)
-        fallback = ~met
+        fallback = ~met if absolute_fallback else np.zeros(n, dtype=bool)
+        guaranteed = met | fallback
+    else:
+        if certified is None:
+            threshold = bounds * (1.0 + 1.0 / guarantee.epsilon)
+            with np.errstate(invalid="ignore"):
+                certified = approx >= threshold
+        else:
+            certified = np.asarray(certified, dtype=bool)
+            if certified.shape != approx.shape:
+                raise QueryError("certified mask must match the approx answers")
+        fallback = ~certified
+        guaranteed = np.ones(n, dtype=bool)
+    if cumulative:
+        broken = ~np.isfinite(approx)
+        fallback |= broken
+        guaranteed |= broken
+    values = approx
+    if fallback.any():
         values = approx.copy()
         values[fallback] = exact_for_mask(fallback)
         bounds[fallback] = 0.0
-        return BatchQueryResult(values, np.ones(n, dtype=bool), fallback, bounds)
-
-    if certified is None:
-        threshold = bounds * (1.0 + 1.0 / guarantee.epsilon)
-        with np.errstate(invalid="ignore"):
-            certified = approx >= threshold
-    else:
-        certified = np.asarray(certified, dtype=bool)
-        if certified.shape != approx.shape:
-            raise QueryError("certified mask must match the approx answers")
-    fallback = ~certified
-    values = approx.copy()
-    if np.any(fallback):
-        values[fallback] = exact_for_mask(fallback)
-        bounds[fallback] = 0.0
-    return BatchQueryResult(values, np.ones(n, dtype=bool), fallback, bounds)
+    return BatchQueryResult(values, guaranteed, fallback, bounds)

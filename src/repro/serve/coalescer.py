@@ -2,10 +2,12 @@
 
 The batch read path answers N queries 60-80x faster per query than N scalar
 calls (``BENCH_batch_throughput.json``), but end users issue *scalar*
-requests.  :class:`Coalescer` converts one into the other: concurrent
-requests accumulate in per-``(index, guarantee)`` queues, and every
-``max_wait_ms`` tick the queue is flushed as **one** ``query_batch`` call
-whose per-query answers are scattered back to per-request futures.
+requests.  :class:`Coalescer` converts one into the other by **group
+commit**: the first request to reach an empty per-``(index, guarantee)``
+queue schedules one flush with ``loop.call_soon``; every request submitted
+before that callback runs joins it, and the flush evaluates the queue as
+**one** ``query_batch`` call whose answers are scattered back to
+per-request futures.
 
 Correctness invariant: every batch kernel in the library is
 element-independent (evaluating a concatenation of workloads equals
@@ -17,18 +19,21 @@ directly with the request's bounds.
 
 Operational behaviour:
 
-* **Ticking** — a flusher task per queue wakes every ``max_wait_ms``; a
-  wake-up with an empty queue (a zero-arrival tick) terminates the task
-  (no idle spinning; the next submit restarts it).
+* **Flush on arrival** — no timer: a lone request is evaluated on the next
+  loop iteration, inline on the loop thread (for a small batch a thread-pool
+  hop costs more than the work).  Under load, requests arriving during a
+  flush pile up in the socket buffers and form the next batch.
 * **Overflow splitting** — a flush drains the queue in ``max_batch``-sized
-  slices, issuing one engine call per slice, all within the same tick.
+  slices, issuing one engine call per slice.
+* **Deadlines** — an inline flush cannot be preempted, so a request whose
+  ``deadline_s`` budget ran out before its flush starts, or before its
+  answer is ready, fails with :class:`~repro.errors.ServerOverloadedError`
+  (HTTP 503); the first kind is never evaluated.
 * **Admission control** — at most ``max_pending`` requests may be queued
   across all queues; beyond that :meth:`submit` fails fast with
-  :class:`~repro.errors.ServerOverloadedError` (HTTP 503) instead of
-  building an unbounded backlog.
-* **Drain-then-stop** — :meth:`stop` rejects new submissions, flushes
-  everything already accepted, and resolves every in-flight future before
-  returning.
+  :class:`~repro.errors.ServerOverloadedError` (HTTP 503).
+* **Drain-then-stop** — :meth:`stop` rejects new submissions and resolves
+  every accepted request before returning.
 """
 
 from __future__ import annotations
@@ -51,9 +56,9 @@ __all__ = ["Coalescer", "CoalescerMetrics", "ServedAnswer", "CoalescerStats"]
 #: Queue key: one coalescing stream per (index name, guarantee).
 _QueueKey = tuple[str, Guarantee | None]
 
-#: Queue entry: request bounds, its future, the perf-counter enqueue instant
-#: (queue-wait measurement) and the request's sampled trace (usually None).
-_QueueItem = tuple[tuple[float, ...], asyncio.Future, float, "Trace | None"]
+#: Queue entry: request bounds, its future, the perf-counter enqueue instant,
+#: the deadline budget in seconds (None: unbounded) and the sampled trace.
+_QueueItem = tuple[tuple[float, ...], asyncio.Future, float, "float | None", "Trace | None"]
 
 
 class ServedAnswer(NamedTuple):
@@ -61,7 +66,7 @@ class ServedAnswer(NamedTuple):
 
     Mirrors :class:`~repro.queries.types.QueryResult` plus serving metadata:
     the epoch/version of the pinned view that produced it and the size of
-    the batch it rode in (1 when the request was alone in its tick).
+    the batch it rode in (1 when the request was alone in its flush).
 
     A NamedTuple rather than a dataclass: the scatter loop builds one per
     request on the serving hot path, and tuple construction is several
@@ -88,8 +93,8 @@ class CoalescerStats:
     served: int = 0
     rejected: int = 0
     failed: int = 0
+    expired: int = 0
     batches: int = 0
-    ticks: int = 0
     max_batch_size: int = 0
 
     @property
@@ -103,8 +108,8 @@ class CoalescerStats:
             "served": self.served,
             "rejected": self.rejected,
             "failed": self.failed,
+            "expired": self.expired,
             "batches": self.batches,
-            "ticks": self.ticks,
             "max_batch_size": self.max_batch_size,
             "mean_batch_size": round(self.mean_batch_size, 2),
         }
@@ -145,9 +150,9 @@ class CoalescerMetrics:
             "Engine calls issued (one per flushed slice).",
             enabled=enabled,
         )
-        self._fam_ticks = counter_family(
-            "repro_coalescer_ticks_total",
-            "Flusher wake-ups, including empty (terminating) ticks.",
+        self._fam_expired = counter_family(
+            "repro_coalescer_expired_total",
+            "Requests answered 503 because their deadline ran out.",
             enabled=enabled,
         )
         self._fam_pending = gauge_family(
@@ -181,7 +186,7 @@ class CoalescerMetrics:
         self.rejected = self._fam_rejected.labels()
         self.failed = self._fam_failed.labels()
         self.batches = self._fam_batches.labels()
-        self.ticks = self._fam_ticks.labels()
+        self.expired = self._fam_expired.labels()
         self.pending = self._fam_pending.labels()
         self.max_batch_size = self._fam_max_batch.labels()
         self.queue_wait_seconds = self._fam_queue_wait.labels()
@@ -197,7 +202,7 @@ class CoalescerMetrics:
                 self._fam_rejected,
                 self._fam_failed,
                 self._fam_batches,
-                self._fam_ticks,
+                self._fam_expired,
                 self._fam_pending,
                 self._fam_max_batch,
                 self._fam_queue_wait,
@@ -216,9 +221,6 @@ class Coalescer:
     hosts:
         Named :class:`~repro.serve.host.EngineHost` instances (or one host,
         registered under its own name).
-    max_wait_ms:
-        Tick length: the longest a lone request waits before its flush.
-        Smaller ticks trade batch size (throughput) for latency.
     max_batch:
         Largest single engine call; a fuller queue is drained in slices.
     max_pending:
@@ -238,7 +240,6 @@ class Coalescer:
         self,
         hosts: Mapping[str, EngineHost] | EngineHost,
         *,
-        max_wait_ms: float = 1.0,
         max_batch: int = 8192,
         max_pending: int = 65536,
         instrument: bool = True,
@@ -248,18 +249,14 @@ class Coalescer:
             hosts = {hosts.name: hosts}
         if not hosts:
             raise QueryError("coalescer needs at least one host")
-        if max_wait_ms <= 0:
-            raise QueryError(f"max_wait_ms must be positive, got {max_wait_ms}")
         if max_batch < 1:
             raise QueryError(f"max_batch must be >= 1, got {max_batch}")
         if max_pending < 1:
             raise QueryError(f"max_pending must be >= 1, got {max_pending}")
         self._hosts = dict(hosts)
-        self._max_wait = max_wait_ms / 1000.0
         self._max_batch = int(max_batch)
         self._max_pending = int(max_pending)
         self._queues: dict[_QueueKey, list[_QueueItem]] = {}
-        self._flushers: dict[_QueueKey, asyncio.Task] = {}
         self._pending = 0
         self._closed = False
         self._obs = CoalescerMetrics(enabled=instrument)
@@ -275,8 +272,8 @@ class Coalescer:
             served=int(obs.served.value),
             rejected=int(obs.rejected.value),
             failed=int(obs.failed.value),
+            expired=int(obs.expired.value),
             batches=int(obs.batches.value),
-            ticks=int(obs.ticks.value),
             max_batch_size=int(obs.max_batch_size.value),
         )
 
@@ -299,13 +296,15 @@ class Coalescer:
         guarantee: Guarantee | None = None,
         *,
         index: str = "default",
+        deadline_s: float | None = None,
     ) -> "asyncio.Future[ServedAnswer]":
         """Enqueue one scalar request; the future resolves at the next flush.
 
         ``bounds`` is ``(low, high)`` for 1-D hosts and ``(x_low, x_high,
         y_low, y_high)`` for 2-D hosts.  Malformed bounds are rejected here,
         per request — never inside a flush, where one bad request would fail
-        its whole batch.
+        its whole batch.  ``deadline_s`` is a time budget counted from this
+        call (see *Deadlines* in the module docstring).
         """
         if self._closed:
             self._obs.rejected.inc()
@@ -328,7 +327,8 @@ class Coalescer:
                 f"(max_pending={self._max_pending})"
             )
         key: _QueueKey = (index, guarantee)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         trace = (
             self._tracer.start(
                 "query",
@@ -338,15 +338,15 @@ class Coalescer:
             if self._tracer is not None
             else None
         )
-        self._queues.setdefault(key, []).append(
-            (bounds, future, time.perf_counter(), trace)
-        )
+        queue = self._queues.setdefault(key, [])
+        if not queue:
+            # Group commit: the first arrival schedules the flush; everything
+            # submitted before the callback runs rides in the same batch.
+            loop.call_soon(self._flush_queue, key)
+        queue.append((bounds, future, time.perf_counter(), deadline_s, trace))
         self._pending += 1
         self._obs.submitted.inc()
         self._obs.pending.set(self._pending)
-        flusher = self._flushers.get(key)
-        if flusher is None or flusher.done():
-            self._flushers[key] = asyncio.ensure_future(self._flush_loop(key))
         return future
 
     @property
@@ -365,48 +365,46 @@ class Coalescer:
         return dict(self._hosts)
 
     # ------------------------------------------------------------------ #
-    # Flushing
+    # Flushing (event-loop thread, synchronous)
     # ------------------------------------------------------------------ #
 
-    async def _flush_loop(self, key: _QueueKey) -> None:
-        """Per-queue ticker: sleep a tick, drain, exit when a tick is empty.
+    def _flush_queue(self, key: _QueueKey) -> None:
+        """Drain one queue in ``max_batch`` slices, one engine call each.
 
-        The empty-check-then-return path contains no await, so a submit can
-        only interleave while this task is parked on ``sleep`` or inside a
-        flush — both of which re-examine the queue afterwards; no request
-        can be stranded.
+        Never yields, so the queue is empty afterwards and the next arrival
+        schedules a new flush; a no-op when :meth:`stop` drained it already.
         """
-        while True:
-            await asyncio.sleep(self._max_wait)
-            self._obs.ticks.inc()
-            queue = self._queues.get(key)
-            if not queue:
-                return
-            while queue:
-                batch = queue[:self._max_batch]
-                del queue[:self._max_batch]
-                await self._flush(key, batch)
+        queue = self._queues.get(key)
+        while queue:
+            batch = queue[:self._max_batch]
+            del queue[:self._max_batch]
+            self._flush(key, batch)
 
-    async def _flush(self, key: _QueueKey, batch: list[_QueueItem]) -> None:
+    def _flush(self, key: _QueueKey, batch: list[_QueueItem]) -> None:
         """Evaluate one slice as a single batch call and scatter the answers."""
         index_name, guarantee = key
         host = self._hosts[index_name]
         flush_start = time.perf_counter()
+        self._pending -= len(batch)
+        self._obs.pending.set(self._pending)
         self._obs.queue_wait_seconds.observe_many(
-            [flush_start - enqueued for _, _, enqueued, _ in batch]
+            [flush_start - enqueued for _, _, enqueued, _, _ in batch]
         )
-        traces = [trace for _, _, _, trace in batch if trace is not None]
+        batch = [item for item in batch if not self._shed(item, flush_start, evaluated=False)]
+        if not batch:
+            return
+        traces = [trace for *_, trace in batch if trace is not None]
         for trace in traces:
             trace.attrs.setdefault("batch_size", len(batch))
         # One C-level conversion of the bounds tuples, then column views.
-        bounds_matrix = np.array([bounds for bounds, _, _, _ in batch], dtype=np.float64)
+        bounds_matrix = np.array([item[0] for item in batch], dtype=np.float64)
         columns = tuple(
             np.ascontiguousarray(bounds_matrix[:, i])
             for i in range(2 * host.dims)
         )
-        view = host.pin()  # on the loop: atomic w.r.t. writes
+        view = host.pin()
         pinned_at = time.perf_counter()
-        for _, _, enqueued, trace in batch:
+        for _, _, enqueued, _, trace in batch:
             if trace is not None:
                 trace.add_span("queue_wait", enqueued, flush_start)
                 trace.add_span("pin", flush_start, pinned_at, epoch=view.epoch)
@@ -414,29 +412,22 @@ class Coalescer:
         # the whole slice shares one execute call, so the engine-side spans
         # (cache probe, fan-out, shard exec, merge) would be identical.
         lead_trace = traces[0] if traces else None
-        loop = asyncio.get_running_loop()
         try:
-            answer = await loop.run_in_executor(
-                None, host.execute, view, columns, guarantee, lead_trace
-            )
+            answer = host.execute(view, columns, guarantee, lead_trace)
         except Exception as error:  # pragma: no cover - engine faults are rare
-            self._pending -= len(batch)
-            self._obs.pending.set(self._pending)
             self._obs.failed.inc(len(batch))
             self._finish_traces(traces, error=type(error).__name__)
-            for _, future, _, _ in batch:
+            for _, future, _, _, _ in batch:
                 if not future.done():
                     future.set_exception(error)
             return
-        self._pending -= len(batch)
-        self._obs.pending.set(self._pending)
-        self._obs.batches.inc()
-        self._obs.served.inc(len(batch))
-        self._obs.max_batch_size.set_max(len(batch))
-        self._obs.flush_seconds.observe(time.perf_counter() - flush_start)
-        self._obs.batch_size.observe(len(batch))
-        self._finish_traces(traces)
+        finished = time.perf_counter()
         size = len(batch)
+        self._obs.batches.inc()
+        self._obs.max_batch_size.set_max(size)
+        self._obs.flush_seconds.observe(finished - flush_start)
+        self._obs.batch_size.observe(size)
+        self._finish_traces(traces)
         epoch, version = view.epoch, view.version
         # Bulk-convert the columns once (C loops) instead of indexing numpy
         # scalars per request — the scatter loop is the serving hot path.
@@ -444,21 +435,39 @@ class Coalescer:
         guaranteed = answer.guaranteed.tolist()
         fallback = answer.exact_fallback.tolist()
         error_bounds = answer.error_bounds.tolist()
-        degraded_column = getattr(answer, "degraded", None)
-        degraded = (
-            degraded_column.tolist() if degraded_column is not None else [False] * size
-        )
-        for i, (_, future, _, _) in enumerate(batch):
-            if future.done():  # cancelled by the client
+        degraded = getattr(answer, "degraded", None)
+        degraded = [False] * size if degraded is None else degraded.tolist()
+        late = 0
+        for i, item in enumerate(batch):
+            if item[1].done():  # cancelled by the client
+                continue
+            if item[3] is not None and self._shed(item, finished, evaluated=True):
+                late += 1
                 continue
             bound = error_bounds[i]
-            future.set_result(
+            item[1].set_result(
                 ServedAnswer(
                     values[i], guaranteed[i], fallback[i],
                     bound if bound == bound else None,  # NaN -> None
                     epoch, version, size, degraded[i],
                 )
             )
+        self._obs.served.inc(size - late)
+
+    def _shed(self, item: _QueueItem, now: float, *, evaluated: bool) -> bool:
+        """Answer ``item`` with a 503 if its deadline budget ran out by ``now``."""
+        _, future, enqueued, budget, trace = item
+        if budget is None or now - enqueued <= budget:
+            return False
+        self._obs.expired.inc()
+        if trace is not None and not evaluated:
+            self._finish_traces([trace], error="DeadlineExpired")
+        if not future.done():
+            future.set_exception(ServerOverloadedError(
+                f"deadline of {budget * 1000:.0f}ms expired before the answer was ready",
+                retry_after_s=budget,
+            ))
+        return True
 
     def _finish_traces(self, traces: list[Trace], error: str | None = None) -> None:
         if self._tracer is None:
@@ -476,22 +485,9 @@ class Coalescer:
         """Drain-then-stop: reject new work, answer everything accepted.
 
         Idempotent.  After it returns every previously returned future is
-        resolved (with an answer or an engine error) and :meth:`submit`
-        raises :class:`~repro.errors.ServerOverloadedError`.
+        resolved (with an answer, a deadline 503 or an engine error) and
+        :meth:`submit` raises :class:`~repro.errors.ServerOverloadedError`.
         """
         self._closed = True
-        # Drain directly instead of waiting out the tickers: each slice is
-        # popped synchronously, so a concurrently flushing ticker and this
-        # loop never double-serve a request.
         for key in list(self._queues):
-            queue = self._queues[key]
-            while queue:
-                batch = queue[:self._max_batch]
-                del queue[:self._max_batch]
-                await self._flush(key, batch)
-        # Never cancel a ticker: one caught mid-flush would abandon its
-        # batch's futures.  With the queues empty each ticker exits on its
-        # own at the next tick, so this waits at most ~one max_wait_ms.
-        flushers = [task for task in self._flushers.values() if not task.done()]
-        await asyncio.gather(*flushers, return_exceptions=True)
-        self._flushers.clear()
+            self._flush_queue(key)

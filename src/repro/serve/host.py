@@ -2,7 +2,8 @@
 
 :class:`EngineHost` owns one index on behalf of the server.  It is the
 bridge between the asyncio front-end (single-threaded, mutation-ordering
-authority) and the NumPy batch engines (executed on worker threads):
+authority) and the NumPy batch engines (coalesced ``/query`` flushes run
+them on the loop thread, ``/query_batch`` workloads on worker threads):
 
 * **Epoch pinning** — :meth:`pin` captures an immutable serving view of the
   index *at one instant*: updatable indexes are pinned through their frozen
@@ -21,8 +22,8 @@ authority) and the NumPy batch engines (executed on worker threads):
 
 Thread-safety contract: :meth:`pin`, :meth:`insert` and :meth:`compact` must
 be called from the event-loop thread (they observe/advance the mutation
-order); :meth:`execute` is safe to call from worker threads because it only
-touches the frozen view and the (internally locked) result cache.
+order); :meth:`execute` is also safe to call from worker threads because it
+only touches the frozen view and the (internally locked) result cache.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ class EngineHost:
         return families
 
     # ------------------------------------------------------------------ #
-    # Read path (pin on the loop, execute on a worker)
+    # Read path (pin on the loop, execute on the loop or a worker)
     # ------------------------------------------------------------------ #
 
     def pin(self) -> PinnedView:

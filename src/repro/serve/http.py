@@ -47,7 +47,9 @@ carries a ``Retry-After`` header (and ``retry_after_s`` in the JSON body) so
 well-behaved clients back off instead of hammering an overloaded server.
 
 Requests may set ``"deadline_ms"``: if the server cannot answer within that
-budget the request fails with 503 rather than occupying a queue slot forever.
+budget the request fails with 503 rather than occupying a queue slot forever
+(``/query`` deadlines are enforced by the coalescer, ``/query_batch`` ones
+here).
 """
 
 from __future__ import annotations
@@ -255,7 +257,6 @@ class ServeServer:
         self,
         hosts: Mapping[str, EngineHost] | EngineHost,
         *,
-        max_wait_ms: float = 1.0,
         max_batch: int = 8192,
         max_pending: int = 65536,
         instrument: bool = True,
@@ -275,7 +276,6 @@ class ServeServer:
         )
         self.coalescer = Coalescer(
             hosts,
-            max_wait_ms=max_wait_ms,
             max_batch=max_batch,
             max_pending=max_pending,
             instrument=instrument,
@@ -553,8 +553,8 @@ class ServeServer:
         guarantee = _parse_guarantee(payload)
         deadline = _deadline_s(payload)
         bounds = _scalar_bounds(payload, host.dims)
-        answer = await _within_deadline(
-            self.coalescer.submit(bounds, guarantee, index=host.name), deadline
+        answer = await self.coalescer.submit(
+            bounds, guarantee, index=host.name, deadline_s=deadline
         )
         return (206 if answer.partial else 200), _answer_payload(answer)
 

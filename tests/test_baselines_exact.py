@@ -149,3 +149,38 @@ class TestPrefixSumGrid2D:
     def test_size_in_bytes(self):
         grid = PrefixSumGrid2D(np.array([0.0, 1.0]), np.array([0.0, 1.0]), resolution=4)
         assert grid.size_in_bytes() == grid._prefix.nbytes
+
+
+class TestKeyCumulativeArrayBatchCost:
+    """Batch evaluation gathers O(batch) prefix values, never copies O(n)."""
+
+    def test_batch_paths_bit_identical_to_padded_prefix(self):
+        rng = np.random.default_rng(10)
+        kca = KeyCumulativeArray.build(rng.uniform(0.0, 50.0, 400), rng.uniform(0.0, 2.0, 400))
+        padded = np.concatenate(([0.0], kca.cumulative))
+        probes = np.concatenate(([-1.0, 1e6], kca.keys[::29], rng.uniform(-1, 51, 40)))
+        right = np.searchsorted(kca.keys, probes, side="right")
+        assert np.array_equal(kca.evaluate_batch(probes), padded[right])
+        lows = np.minimum(probes, probes[::-1])
+        highs = np.maximum(probes, probes[::-1])
+        expected = (
+            padded[np.searchsorted(kca.keys, highs, side="right")]
+            - padded[np.searchsorted(kca.keys, lows, side="left")]
+        )
+        assert np.array_equal(kca.range_aggregate_batch(lows, highs), expected)
+
+    def test_one_query_batch_allocates_o_batch_not_o_n(self):
+        import tracemalloc
+
+        n = 1_000_000
+        kca = KeyCumulativeArray.build(np.arange(n, dtype=np.float64), np.ones(n))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            answer = kca.range_aggregate_batch(np.array([0.0]), np.array([99.5]))
+            kca.evaluate_batch(np.array([7.0]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answer[0] == 100.0
+        assert peak < 1_000_000, f"one-query batch allocated {peak} bytes"

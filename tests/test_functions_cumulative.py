@@ -130,3 +130,46 @@ class TestCumulativeEvaluation:
         measures = rng.uniform(0, 5, size=100)
         cf = build_cumulative_function(keys, measures, Aggregate.SUM)
         assert np.all(np.diff(cf.values) >= 0)
+
+
+class TestBatchEvaluationCost:
+    """The exact fallback gathers O(batch) prefix values, never copies O(n)."""
+
+    @staticmethod
+    def padded_reference(cf, idx):
+        return np.concatenate(([0.0], cf.values))[idx]
+
+    def test_batch_paths_bit_identical_to_padded_prefix(self):
+        rng = np.random.default_rng(9)
+        keys = np.sort(rng.uniform(0.0, 100.0, size=500))
+        cf = build_cumulative_function(keys, rng.uniform(0.0, 3.0, size=500))
+        # Below the domain, exactly on keys, between keys, above the domain.
+        probes = np.concatenate(([-5.0, keys[0], 1e9], keys[::37], rng.uniform(-1, 101, 50)))
+        right = np.searchsorted(cf.keys, probes, side="right")
+        assert np.array_equal(cf.evaluate(probes), self.padded_reference(cf, right))
+        lows = np.minimum(probes, probes[::-1])
+        highs = np.maximum(probes, probes[::-1])
+        expected = (
+            self.padded_reference(cf, np.searchsorted(cf.keys, highs, side="right"))
+            - self.padded_reference(cf, np.searchsorted(cf.keys, lows, side="left"))
+        )
+        assert np.array_equal(cf.range_sum_batch(lows, highs), expected)
+        assert cf.evaluate(-5.0) == 0.0 and cf.evaluate(1e9) == cf.total
+
+    def test_one_query_batch_allocates_o_batch_not_o_n(self):
+        import tracemalloc
+
+        n = 1_000_000
+        cf = build_cumulative_function(
+            np.arange(n, dtype=np.float64), aggregate=Aggregate.COUNT, presorted=True
+        )
+        lows, highs = np.array([10.5]), np.array([500_000.0])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            answer = cf.range_sum_batch(lows, highs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answer[0] == 500_000.0 - 10.0
+        assert peak < 1_000_000, f"one-query batch allocated {peak} bytes"

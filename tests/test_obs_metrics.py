@@ -85,6 +85,17 @@ class TestInstruments:
         assert scalar.cumulative_counts() == vector.cumulative_counts()
         assert scalar.sum == pytest.approx(vector.sum)
 
+    def test_histogram_small_observe_many_matches_scalar_exactly(self):
+        values = [0.5, 1.0, 3.0, 9.0, 2.0]  # short lists take the bisect path
+        scalar = Histogram(buckets=(1.0, 2.0, 4.0))
+        vector = Histogram(buckets=(1.0, 2.0, 4.0))
+        for v in values:
+            scalar.observe(v)
+        vector.observe_many(iter(values))
+        assert scalar.cumulative_counts() == vector.cumulative_counts()
+        assert scalar.sum == vector.sum and scalar.count == vector.count == 5
+        assert vector.percentile(100) == scalar.percentile(100)
+
     def test_histogram_percentiles(self):
         hist = Histogram(buckets=tuple(float(b) for b in range(1, 101)))
         hist.observe_many(np.arange(1, 101, dtype=np.float64))

@@ -1,10 +1,14 @@
 """Property-based tests for the PolyFit indexes: guarantees on random data."""
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Aggregate, Guarantee, PolyFitIndex, RangeQuery
 from repro.baselines import BruteForceAggregator
+from repro.queries.batch import resolve_batch_certificates
 
 
 def _dataset_strategy(min_size=10, max_size=60):
@@ -127,3 +131,78 @@ class TestStructuralProperties:
         loose = PolyFitIndex.build(keys, aggregate=Aggregate.COUNT, delta=100.0)
         assert loose.num_segments <= tight.num_segments
         assert loose.size_in_bytes() <= tight.size_in_bytes()
+
+
+class TestNonFiniteEstimatesFailClosed:
+    """A non-finite SUM/COUNT estimate is never reported as guaranteed."""
+
+    # Falsifying example of test_absolute_count_guarantee under
+    # ``-W error::RuntimeWarning``: two subnormal-scale keys next to 0 make a
+    # candidate segment polynomial overflow while the index is built.
+    KEYS = np.sort(np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 2.0e-215, 3.2e-285]))
+
+    @pytest.mark.parametrize("eps", [2.0, 5.0, 50.0])
+    def test_pinned_subnormal_keys_example(self, eps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            index = PolyFitIndex.build(self.KEYS, aggregate=Aggregate.COUNT,
+                                       guarantee=Guarantee.absolute(eps))
+            result = index.query(RangeQuery(0.0, 0.0, Aggregate.COUNT),
+                                 Guarantee.absolute(eps))
+            batch = index.query_batch(np.array([0.0]), np.array([0.0]),
+                                      Guarantee.absolute(eps))
+        exact = float(np.count_nonzero(self.KEYS == 0.0))
+        assert np.isfinite(result.value)
+        assert abs(result.value - exact) <= eps + 1e-6
+        assert batch.values[0] == result.value
+        assert bool(batch.guaranteed[0]) == result.guaranteed
+
+    @pytest.mark.parametrize(
+        "guarantee",
+        [None, Guarantee.absolute(5.0), Guarantee.absolute(0.5), Guarantee.relative(0.1)],
+        ids=["none", "absolute-met", "absolute-unmet", "relative"],
+    )
+    def test_resolve_routes_non_finite_to_exact(self, guarantee):
+        approx = np.array([np.inf, np.nan, 40.0, -np.inf])
+        exact = np.array([11.0, 12.0, 13.0, 14.0])
+        result = resolve_batch_certificates(
+            approx, error_bound=1.0, guarantee=guarantee,
+            exact_for_mask=lambda mask: exact[mask], absolute_fallback=False,
+        )
+        broken = np.array([True, True, False, True])
+        assert result.exact_fallback[broken].all()
+        assert result.guaranteed[broken].all()
+        assert np.array_equal(result.values[broken], exact[broken])
+        assert np.array_equal(result.error_bounds[broken], np.zeros(3))
+        assert result.values[2] == 40.0 and not result.exact_fallback[2]
+
+    def test_fused_certified_mask_cannot_certify_inf(self):
+        result = resolve_batch_certificates(
+            np.array([np.inf, 30.0]), error_bound=1.0,
+            guarantee=Guarantee.relative(0.1),
+            exact_for_mask=lambda mask: np.array([7.0, 8.0])[mask],
+            absolute_fallback=False, certified=np.array([True, True]),
+        )
+        assert result.values.tolist() == [7.0, 30.0]
+        assert result.exact_fallback.tolist() == [True, False]
+
+    def test_extreme_nan_keeps_empty_range_semantics(self):
+        result = resolve_batch_certificates(
+            np.array([np.nan]), error_bound=1.0, guarantee=None,
+            exact_for_mask=lambda mask: np.array([0.0])[mask],
+            absolute_fallback=False, cumulative=False,
+        )
+        assert np.isnan(result.values[0]) and not result.exact_fallback[0]
+
+    def test_index_paths_fail_closed_on_overflowed_estimates(self, monkeypatch):
+        keys = np.arange(100.0)
+        index = PolyFitIndex.build(keys, aggregate=Aggregate.COUNT, delta=5.0)
+        monkeypatch.setattr(index, "_approximate", lambda query: float("inf"))
+        monkeypatch.setattr(
+            index, "_estimate_batch_validated", lambda lows, highs: np.full(lows.size, np.inf)
+        )
+        for guarantee in (None, Guarantee.absolute(100.0), Guarantee.relative(0.5)):
+            scalar = index.query(RangeQuery(10.0, 19.0, Aggregate.COUNT), guarantee)
+            batch = index.query_batch(np.array([10.0]), np.array([19.0]), guarantee)
+            assert scalar.value == batch.values[0] == 10.0
+            assert scalar.exact_fallback and batch.exact_fallback[0]

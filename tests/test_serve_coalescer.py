@@ -6,6 +6,7 @@ answers must be *bit-identical* to calling ``query_batch`` directly.
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ class TestBitIdentity:
 
     def test_plain_count_batch(self, index):
         lows, highs = make_bounds(500)
-        coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+        coalescer = Coalescer(EngineHost(index))
         answers = gather_answers(coalescer, lows, highs)
         direct = index.query_batch(lows, highs)
         values, guaranteed, fallback, bounds = answers_to_columns(answers)
@@ -87,7 +88,7 @@ class TestBitIdentity:
     )
     def test_guaranteed_queries(self, index, guarantee):
         lows, highs = make_bounds(300, seed=2)
-        coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+        coalescer = Coalescer(EngineHost(index))
         answers = gather_answers(coalescer, lows, highs, guarantee)
         direct = index.query_batch(lows, highs, guarantee)
         values, guaranteed, fallback, bounds = answers_to_columns(answers)
@@ -102,7 +103,7 @@ class TestBitIdentity:
         guarantee = Guarantee.relative(0.05)
 
         async def run():
-            coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+            coalescer = Coalescer(EngineHost(index))
             plain = [
                 coalescer.submit((low, high)) for low, high in zip(lows, highs)
             ]
@@ -132,7 +133,7 @@ class TestBitIdentity:
         y_lows, y_highs = make_bounds(100, seed=9, span=(0.0, 100.0))
 
         async def run():
-            coalescer = Coalescer(host, max_wait_ms=0.5)
+            coalescer = Coalescer(host)
             futures = [
                 coalescer.submit((xl, xh, yl, yh))
                 for xl, xh, yl, yh in zip(x_lows, x_highs, y_lows, y_highs)
@@ -150,37 +151,141 @@ class TestBitIdentity:
 
 class TestEdgeCases:
     def test_single_request_rides_a_batch_of_one(self, index):
-        coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+        coalescer = Coalescer(EngineHost(index))
         answers = gather_answers(coalescer, [100.0], [600.0])
         direct = index.query_batch(np.array([100.0]), np.array([600.0]))
         assert answers[0].value == direct.values[0]
         assert answers[0].batch_size == 1
         assert coalescer.stats.batches == 1
 
-    def test_zero_arrival_ticks_idle_out(self, index):
-        """An empty tick stops the flusher; no batches run while idle."""
+    def test_lone_request_resolves_without_a_timer(self, index, monkeypatch):
+        """No tick: a lone request is answered within two loop turns, and
+        neither it nor the idle time after it schedules a timer."""
 
         async def run():
-            coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
-            answer = await coalescer.submit((10.0, 500.0))
-            assert answer.value >= 0.0
-            # Several idle tick lengths: the flusher must have exited
-            # rather than spin (its task is done), and no further batches
-            # or ticks accumulate while nothing arrives.
-            await asyncio.sleep(0.01)
-            flushers = list(coalescer._flushers.values())
-            assert all(task.done() for task in flushers)
-            ticks_when_idle = coalescer.stats.ticks
-            await asyncio.sleep(0.01)
-            assert coalescer.stats.ticks == ticks_when_idle
+            loop = asyncio.get_running_loop()
+
+            def no_timers(*args, **kwargs):
+                raise AssertionError("the coalescer scheduled a timer")
+
+            monkeypatch.setattr(loop, "call_later", no_timers)
+            monkeypatch.setattr(loop, "call_at", no_timers)
+            coalescer = Coalescer(EngineHost(index))
+            future = coalescer.submit((10.0, 500.0))
+            for _ in range(2):
+                await asyncio.sleep(0)
+            assert future.done()
+            for _ in range(5):  # idle turns: nothing more is evaluated
+                await asyncio.sleep(0)
             assert coalescer.stats.batches == 1
             await coalescer.stop()
+            return future.result()
 
-        asyncio.run(run())
+        answer = asyncio.run(run())
+        direct = index.query_batch(np.array([10.0]), np.array([500.0]))
+        assert answer.value == direct.values[0]
+        assert answer.batch_size == 1
+
+    def test_same_turn_submits_share_one_engine_call(self, index):
+        """Group commit: N submits in one loop turn -> one batch of N."""
+        lows, highs = make_bounds(37, seed=14)
+        host = EngineHost(index)
+        calls = []
+        execute = host.execute
+
+        def counting_execute(view, bounds, *args):
+            calls.append(bounds[0].size)
+            return execute(view, bounds, *args)
+
+        host.execute = counting_execute
+
+        async def run():
+            coalescer = Coalescer(host)
+            futures = [
+                coalescer.submit((low, high)) for low, high in zip(lows, highs)
+            ]
+            answers = await asyncio.gather(*futures)
+            await coalescer.stop()
+            return answers
+
+        answers = asyncio.run(run())
+        assert calls == [37]
+        assert all(a.batch_size == 37 for a in answers)
+        direct = index.query_batch(lows, highs)
+        assert np.array_equal(np.array([a.value for a in answers]), direct.values)
+
+    def test_arrivals_during_a_flush_form_the_next_batch(self, index):
+        """A submit after a flush was scheduled but before it ran joins it;
+        one after the flush ran starts a new batch."""
+
+        async def run():
+            coalescer = Coalescer(EngineHost(index))
+            first = [coalescer.submit((1.0, 2.0)), coalescer.submit((3.0, 4.0))]
+            await asyncio.sleep(0)  # the flush runs here
+            assert all(f.done() for f in first)
+            second = coalescer.submit((5.0, 600.0))
+            answers = await asyncio.gather(*first, second)
+            await coalescer.stop()
+            return answers, coalescer.stats
+
+        answers, stats = asyncio.run(run())
+        assert [a.batch_size for a in answers] == [2, 2, 1]
+        assert stats.batches == 2
+
+    def test_expired_deadline_is_shed_without_an_engine_call(self, index):
+        host = EngineHost(index)
+        calls = []
+        execute = host.execute
+        host.execute = lambda *args: calls.append(1) or execute(*args)
+
+        async def run():
+            coalescer = Coalescer(host)
+            doomed = coalescer.submit((1.0, 500.0), deadline_s=1e-9)
+            time.sleep(0.001)  # the budget runs out before the flush
+            with pytest.raises(ServerOverloadedError, match="deadline") as error:
+                await doomed
+            assert error.value.retry_after_s == pytest.approx(1e-9)
+            assert calls == []
+            roomy = await coalescer.submit((1.0, 500.0), deadline_s=60.0)
+            await coalescer.stop()
+            return roomy, coalescer.stats
+
+        roomy, stats = asyncio.run(run())
+        assert calls == [1]
+        assert roomy.value == index.query_batch(
+            np.array([1.0]), np.array([500.0])
+        ).values[0]
+        assert stats.expired == 1 and stats.served == 1 and stats.batches == 1
+
+    def test_answer_ready_after_its_deadline_is_503(self, index):
+        """An inline flush cannot be preempted, so a request whose answer
+        only arrives after its budget is failed after evaluation."""
+        host = EngineHost(index)
+        execute = host.execute
+
+        def slow_execute(*args):
+            time.sleep(0.02)
+            return execute(*args)
+
+        host.execute = slow_execute
+
+        async def run():
+            coalescer = Coalescer(host)
+            late = coalescer.submit((1.0, 500.0), deadline_s=0.005)
+            patient = coalescer.submit((1.0, 500.0), deadline_s=10.0)
+            with pytest.raises(ServerOverloadedError, match="deadline"):
+                await late
+            answer = await patient
+            await coalescer.stop()
+            return answer, coalescer.stats
+
+        answer, stats = asyncio.run(run())
+        assert answer.batch_size == 2
+        assert stats.batches == 1 and stats.expired == 1 and stats.served == 1
 
     def test_max_batch_overflow_splits(self, index):
         lows, highs = make_bounds(100, seed=4)
-        coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5, max_batch=32)
+        coalescer = Coalescer(EngineHost(index), max_batch=32)
         answers = gather_answers(coalescer, lows, highs)
         direct = index.query_batch(lows, highs)
         assert np.array_equal(
@@ -192,9 +297,7 @@ class TestEdgeCases:
 
     def test_admission_control_fast_fails(self, index):
         async def run():
-            coalescer = Coalescer(
-                EngineHost(index), max_wait_ms=5.0, max_pending=10
-            )
+            coalescer = Coalescer(EngineHost(index), max_pending=10)
             accepted = [
                 coalescer.submit((float(i), float(i + 1))) for i in range(10)
             ]
@@ -212,7 +315,7 @@ class TestEdgeCases:
 
     def test_per_request_validation_never_fails_a_batch(self, index):
         async def run():
-            coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+            coalescer = Coalescer(EngineHost(index))
             good = coalescer.submit((10.0, 700.0))
             with pytest.raises(QueryError):
                 coalescer.submit((700.0, 10.0))  # inverted range
@@ -233,11 +336,11 @@ class TestEdgeCases:
         lows, highs = make_bounds(200, seed=5)
 
         async def run():
-            coalescer = Coalescer(EngineHost(index), max_wait_ms=50.0)
+            coalescer = Coalescer(EngineHost(index))
             futures = [
                 coalescer.submit((low, high)) for low, high in zip(lows, highs)
             ]
-            # Stop immediately — far before the 50 ms tick would flush.
+            # Stop before the scheduled flush callback gets to run.
             await coalescer.stop()
             assert all(f.done() for f in futures)
             with pytest.raises(ServerOverloadedError):
@@ -252,7 +355,7 @@ class TestEdgeCases:
 
     def test_stop_is_idempotent(self, index):
         async def run():
-            coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+            coalescer = Coalescer(EngineHost(index))
             await coalescer.submit((1.0, 2.0))
             await coalescer.stop()
             await coalescer.stop()
@@ -295,7 +398,7 @@ class TestEpochConsistency:
 
         async def run():
             host = EngineHost(updatable)
-            coalescer = Coalescer(host, max_wait_ms=0.2)
+            coalescer = Coalescer(host)
             rng = np.random.default_rng(11)
             futures = []
             inserted = 0.0
@@ -336,7 +439,7 @@ class TestEpochConsistency:
 
         async def run():
             host = EngineHost(updatable)
-            coalescer = Coalescer(host, max_wait_ms=1.0)
+            coalescer = Coalescer(host)
             futures = [coalescer.submit((low, high), exact) for _ in range(20)]
             updatable.insert(np.full(13, 500.0))
             updatable.compact()  # epoch swap while the batch is queued

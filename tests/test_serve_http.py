@@ -283,7 +283,7 @@ class TestCLI:
     def test_serve_args_parse(self):
         args = build_parser().parse_args(
             ["serve", "--synthetic", "5000", "--delta", "50",
-             "--max-wait-ms", "0.5", "--cache-size", "16", "--port", "0"]
+             "--cache-size", "16", "--port", "0"]
         )
         assert args.command == "serve"
         assert args.synthetic == 5000

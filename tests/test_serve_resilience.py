@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import time
 import urllib.error
 import urllib.request
 
@@ -190,14 +191,25 @@ class TestHttpResilience:
         index = PolyFitIndex.build(keys, aggregate=Aggregate.COUNT,
                                    delta=25.0, config=FAST)
 
+        def slow_host():
+            # An engine call slower than the budget: the flush runs inline
+            # and cannot be preempted, so the coalescer fails the request
+            # after evaluation instead of answering late.
+            host = EngineHost(index)
+            execute = host.execute
+
+            def slow_execute(*args):
+                time.sleep(0.05)
+                return execute(*args)
+
+            host.execute = slow_execute
+            return host
+
         def scenario(url):
-            # A 2s coalescing tick cannot serve a 10ms deadline.
             return _raw_post(url, "/query",
                              {"low": 0.0, "high": 10.0, "deadline_ms": 10})
 
-        status, headers, body = _with_server(
-            lambda: EngineHost(index), scenario, max_wait_ms=2000.0
-        )
+        status, headers, body = _with_server(slow_host, scenario)
         assert status == 503
         assert "deadline" in body["error"]
         assert body["retry_after_s"] > 0
