@@ -3,6 +3,9 @@
 #   make tier1        - full test suite (the CI gate)
 #   make lint         - ruff check with the repo config (skips gracefully
 #                       when ruff is not installed; CI always installs it)
+#   make strict-warnings - the index test modules with every RuntimeWarning
+#                       (overflow, invalid value) raised as an error, so a
+#                       silent non-finite intermediate fails the build
 #   make smoke-batch  - fast perf gate: batch/scalar equivalence (1-D and
 #                       2-D, including the flat cell-directory property
 #                       tests), the O(batch) exact-fallback allocation
@@ -58,7 +61,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: tier1 lint docs-lint smoke-batch fsck-smoke metrics-smoke bench-batch bench-shards bench-build bench-update bench-serve bench-fleet bench-durability bench-obs
+.PHONY: tier1 lint docs-lint strict-warnings smoke-batch fsck-smoke metrics-smoke bench-batch bench-shards bench-build bench-update bench-serve bench-fleet bench-durability bench-obs
 
 tier1:
 	$(PYTHON) -m pytest -x -q
@@ -69,6 +72,11 @@ lint:
 	else \
 		echo "ruff not installed; skipping lint (CI runs it)"; \
 	fi
+
+strict-warnings:
+	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning tests/test_index_polyfit1d.py \
+		tests/test_index_polyfit2d.py tests/test_property_index.py tests/test_directory.py \
+		tests/test_index_guarantees.py tests/test_batch_equivalence.py
 
 smoke-batch:
 	$(PYTHON) -m pytest -x -q tests/test_batch_equivalence.py tests/test_batch_smoke.py \

@@ -532,10 +532,11 @@ class FleetRouter:
 
         Mirrors :func:`~repro.queries.batch.resolve_batch_certificates`
         (absolute: no fallback; relative: exact fallback for the uncertified
-        subset) with one difference: a fallback touching a failed partition
-        cannot reach the true exact answer, so its bound stays at the
-        widening instead of dropping to 0 and its certificate is re-checked
-        against that residual bound — never claimed for free.
+        subset; a non-finite SUM/COUNT value takes the fallback under every
+        guarantee kind) with one difference: a fallback touching a failed
+        partition cannot reach the true exact answer, so its bound stays at
+        the widening instead of dropping to 0 and its certificate is
+        re-checked against that residual bound — never claimed for free.
         """
         n = lows.size
         alive = [
@@ -547,35 +548,39 @@ class FleetRouter:
         bounds = self._combine_widening(base_bounds, widen)
         failed_pids = set(failed)
         fallback = np.zeros(n, dtype=bool)
+        if guarantee is not None and guarantee.kind is not GuaranteeKind.ABSOLUTE:
+            with np.errstate(invalid="ignore"):
+                fallback = ~(approx >= bounds * (1.0 + 1.0 / guarantee.epsilon))
+        if self._cumulative:
+            # Fail closed, like resolve_batch_certificates: an overflowed
+            # SUM/COUNT partial is never certified, whatever the guarantee.
+            fallback |= ~np.isfinite(approx)
         values = approx
+        if np.any(fallback):
+            values = approx.copy()
+            bounds = bounds.copy()
+            sub_values, sub_bounds, sub_degraded, sub_failed = self._degraded_exact(
+                lows[fallback], highs[fallback]
+            )
+            values[fallback] = sub_values
+            bounds[fallback] = sub_bounds
+            degraded = degraded.copy()
+            degraded[fallback] |= sub_degraded
+            failed_pids |= sub_failed
         if guarantee is None:
             guaranteed = np.ones(n, dtype=bool)
         elif guarantee.kind is GuaranteeKind.ABSOLUTE:
             guaranteed = bounds <= guarantee.epsilon + 1e-12
         else:
-            with np.errstate(invalid="ignore"):
-                certified = approx >= bounds * (1.0 + 1.0 / guarantee.epsilon)
-            fallback = ~certified
             guaranteed = np.ones(n, dtype=bool)
             if np.any(fallback):
-                values = approx.copy()
-                bounds = bounds.copy()
-                sub_values, sub_bounds, sub_degraded, sub_failed = self._degraded_exact(
-                    lows[fallback], highs[fallback]
-                )
-                values[fallback] = sub_values
-                bounds[fallback] = sub_bounds
-                degraded = degraded.copy()
-                degraded[fallback] |= sub_degraded
-                failed_pids |= sub_failed
                 # Exact over the healthy partitions, residual bound from the
                 # failed ones: guaranteed iff nothing is missing (bound 0) or
                 # the Lemma-3 certificate holds against the residual bound.
                 with np.errstate(invalid="ignore"):
-                    sub_ok = (sub_bounds == 0.0) | (
+                    guaranteed[fallback] = (sub_bounds == 0.0) | (
                         sub_values >= sub_bounds * (1.0 + 1.0 / guarantee.epsilon)
                     )
-                guaranteed[fallback] = sub_ok
         if self._metrics is not None:
             self._metrics.degraded_answers_total.inc(int(degraded.sum()))
             self._metrics.failed_partitions_total.inc(len(failed_pids))

@@ -1,70 +1,18 @@
-"""Fused batch-query kernels for the PolyFit hot path.
+"""Runtime description of the batch evaluation backend.
 
-The batch read path of both PolyFit indexes is a chain of separate NumPy
-passes (searchsorted snap, directory locate, coefficient gather, Horner,
-certificate compare), each materializing a full-size temporary.  This
-package fuses the chain into a single compiled pass per query — Numba
-``@njit(parallel=True, cache=True)`` when numba is importable — with a
-bit-identical pure-NumPy fallback selected at import time.
-
-Backend selection is a three-way knob, threaded from
-``QueryEngine.for_index(kernel=...)`` down to the indexes:
-
-* ``"auto"`` — numba when importable, else the NumPy multi-pass path;
-* ``"numba"`` — force the compiled kernels (error when numba is missing);
-* ``"numpy"`` — pin the multi-pass NumPy path (the pinnable oracle).
-
-The kernel *source* functions in :mod:`.fused1d` / :mod:`.fused2d` are
-plain Python: they replicate the NumPy path's floating-point operations
-element for element (same bisection semantics as ``np.searchsorted``, same
-Horner recurrence order, same inclusion-exclusion association), so tests
-can pin bit-identity by executing them uncompiled even where numba is not
-installed.  Numba only changes *how fast* the same operations run.
+Every query kind has one evaluation path: vectorized NumPy passes (snap
+bounds to keys, locate the segment or cell, Horner, certificate).  Benchmark
+artifacts embed :func:`runtime_info` so recorded numbers carry the backend
+and library version that produced them.
 """
 
 from __future__ import annotations
 
-from ..errors import QueryError
-from ._numba import NUMBA_AVAILABLE, numba_version
+import numpy as np
 
-__all__ = [
-    "KERNEL_CHOICES",
-    "NUMBA_AVAILABLE",
-    "resolve_kernel",
-    "runtime_info",
-]
-
-#: Valid values for every ``kernel=`` knob in the library.
-KERNEL_CHOICES = ("auto", "numba", "numpy")
-
-
-def resolve_kernel(choice: str) -> str:
-    """Resolve a ``kernel=`` knob value to a concrete backend name.
-
-    ``"auto"`` selects ``"numba"`` exactly when numba is importable.
-    Requesting ``"numba"`` without numba installed is an error rather than
-    a silent downgrade — the knob exists so benchmarks and tests can rely
-    on which backend actually ran.
-    """
-    if choice not in KERNEL_CHOICES:
-        raise QueryError(
-            f"unknown kernel {choice!r}; expected one of {KERNEL_CHOICES}"
-        )
-    if choice == "auto":
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if choice == "numba" and not NUMBA_AVAILABLE:
-        raise QueryError("kernel='numba' requested but numba is not importable")
-    return choice
+__all__ = ["runtime_info"]
 
 
 def runtime_info() -> dict:
-    """Describe the kernel runtime for benchmark artifacts.
-
-    Every ``BENCH_*.json`` payload embeds this so recorded numbers carry
-    which backend produced them.
-    """
-    return {
-        "numba_available": NUMBA_AVAILABLE,
-        "numba_version": numba_version(),
-        "default_kernel": resolve_kernel("auto"),
-    }
+    """Describe the evaluation backend for benchmark artifacts."""
+    return {"backend": "numpy", "numpy_version": np.__version__}

@@ -71,7 +71,6 @@ def resolve_batch_certificates(
     guarantee: Guarantee | None,
     exact_for_mask: Callable[[np.ndarray], np.ndarray],
     absolute_fallback: bool,
-    certified: np.ndarray | None = None,
     cumulative: bool = True,
 ) -> BatchQueryResult:
     """Apply guarantee semantics to a batch of approximate answers.
@@ -98,19 +97,13 @@ def resolve_batch_certificates(
         semantics — the index was built with a looser budget than requested).
         With per-query bounds the decision is per query: only the queries
         whose own bound exceeds the budget fall back / lose the flag.
-    certified:
-        Optional precomputed relative-certificate mask
-        (``approx >= error_bound * (1 + 1/eps)``), supplied by fused kernels
-        that evaluate the comparison inside the same compiled pass.  Ignored
-        unless the guarantee is relative; when omitted the comparison runs
-        here.
     cumulative:
         Whether the answers are SUM/COUNT (every exact answer is finite).
         Then a non-finite approximation — an overflowed polynomial
         evaluation — fails closed: it is never certified and takes the
         exact path under every guarantee kind, including ``None`` and a
-        precomputed ``certified`` mask (where ``+inf >= threshold`` would
-        otherwise pass).  MAX/MIN callers pass ``False``: their NaN marks an
+        relative guarantee (where ``+inf >= threshold`` would otherwise
+        pass).  MAX/MIN callers pass ``False``: their NaN marks an
         empty range and is a legitimate answer.
 
     NaN approximations (empty MAX/MIN ranges) fail the relative certificate
@@ -129,15 +122,9 @@ def resolve_batch_certificates(
         fallback = ~met if absolute_fallback else np.zeros(n, dtype=bool)
         guaranteed = met | fallback
     else:
-        if certified is None:
-            threshold = bounds * (1.0 + 1.0 / guarantee.epsilon)
-            with np.errstate(invalid="ignore"):
-                certified = approx >= threshold
-        else:
-            certified = np.asarray(certified, dtype=bool)
-            if certified.shape != approx.shape:
-                raise QueryError("certified mask must match the approx answers")
-        fallback = ~certified
+        threshold = bounds * (1.0 + 1.0 / guarantee.epsilon)
+        with np.errstate(invalid="ignore"):
+            fallback = ~(approx >= threshold)
         guaranteed = np.ones(n, dtype=bool)
     if cumulative:
         broken = ~np.isfinite(approx)

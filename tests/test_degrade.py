@@ -158,6 +158,33 @@ class TestDegradedReads:
         second = router.query_batch(lows, highs)
         assert not second.partial and not second.degraded.any()
 
+    @pytest.mark.parametrize("aggregate", [Aggregate.COUNT, Aggregate.SUM])
+    @pytest.mark.parametrize(
+        "guarantee", [None, Guarantee.absolute(1e9), Guarantee.relative(0.1)]
+    )
+    def test_overflowed_partial_fails_closed(self, aggregate, guarantee, monkeypatch):
+        # An overflowed SUM/COUNT partial merges to +inf, which would pass
+        # both the absolute budget and the relative certificate; the
+        # degraded resolver must route it to the exact path instead.
+        keys, measures = _dataset(seed=28)
+        fleet, oracle = _fleet_and_oracle(aggregate, keys, measures)
+        router = fleet.snapshot()
+        _fail_partition(router, 3)
+        engines = getattr(router, "_router", router)._engines
+        monkeypatch.setattr(
+            engines[0], "estimate_batch", lambda lows, highs: np.full(lows.size, np.inf)
+        )
+        lows, highs = _queries()
+        result = router.query_batch(lows, highs, guarantee)
+        assert result.partial and result.exact_fallback.any()
+        assert np.all(np.isfinite(result.values))
+        truth = oracle.exact_batch(lows, highs)
+        finite = np.isfinite(result.error_bounds)
+        assert np.all(
+            np.abs(result.values[finite] - truth[finite])
+            <= result.error_bounds[finite] + 1e-9
+        )
+
     def test_rejects_unknown_policy(self):
         keys, measures = _dataset(seed=27)
         with pytest.raises(DataError, match="failure_policy"):

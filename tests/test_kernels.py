@@ -1,78 +1,36 @@
-"""Bit-identity of the fused kernels against the NumPy batch paths.
+"""The one NumPy evaluation path on boundary inputs, and the backend report.
 
-The kernel *source* functions in ``repro.kernels.fused1d`` / ``fused2d``
-are plain Python replicating the NumPy path's floating-point operations
-element for element, so they can be pinned bit-identical (``array_equal``,
-no tolerance) by running them uncompiled — ``compiled=False`` — even where
-numba is not installed.  When numba *is* importable, the same pins run a
-second time against the actually-compiled kernels.
+Every query kind is answered by one chain of vectorized NumPy passes (snap
+bounds to keys, locate the segment or cell, Horner, certificate).  These
+tests drive that chain on the inputs where it branches — empty, degenerate
+and out-of-domain ranges, a non-empty delta buffer, a 2-D directory without
+materialized boundary arrays — against the scalar path and brute force.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro import Aggregate, Guarantee, PolyFitIndex, PolyFit2DIndex
-from repro.errors import QueryError
-from repro.kernels import KERNEL_CHOICES, NUMBA_AVAILABLE, resolve_kernel, runtime_info
-from repro.kernels import fused1d, fused2d
+from repro import Aggregate, PolyFit2DIndex, PolyFitIndex, RangeQuery, RangeQuery2D
+from repro.kernels import runtime_info
 from repro.stream.updatable import UpdatablePolyFitIndex
-
-COMPILED_MODES = [False, True] if NUMBA_AVAILABLE else [False]
-
-
-def _bounds_strategy(num=st.integers(min_value=1, max_value=40)):
-    return num.flatmap(
-        lambda n: st.lists(
-            st.tuples(
-                st.floats(min_value=-200.0, max_value=1200.0, allow_nan=False),
-                st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
-            ),
-            min_size=n,
-            max_size=n,
-        )
-    )
-
-
-def _to_arrays(pairs):
-    lows = np.array([low for low, _ in pairs], dtype=np.float64)
-    spans = np.array([span for _, span in pairs], dtype=np.float64)
-    return lows, lows + spans
 
 
 class TestKernelSelection:
-    def test_resolve_auto_matches_availability(self):
-        assert resolve_kernel("auto") == ("numba" if NUMBA_AVAILABLE else "numpy")
-
-    def test_resolve_numpy_is_always_valid(self):
-        assert resolve_kernel("numpy") == "numpy"
-
-    def test_unknown_choice_rejected(self):
-        with pytest.raises(QueryError):
-            resolve_kernel("cython")
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs a numba-less environment")
-    def test_numba_without_numba_rejected(self):
-        with pytest.raises(QueryError):
-            resolve_kernel("numba")
+    """The backend description benchmark artifacts embed."""
 
     def test_runtime_info_shape(self):
         info = runtime_info()
-        assert set(info) == {"numba_available", "numba_version", "default_kernel"}
-        assert info["default_kernel"] in KERNEL_CHOICES
-
-    def test_index_set_kernel_validates(self, count_index):
-        with pytest.raises(QueryError):
-            count_index.set_kernel("bogus")
-        count_index.set_kernel("numpy")
-        assert count_index.kernel == "numpy"
-        count_index.set_kernel("auto")
+        assert info["backend"] == "numpy"
+        assert info["numpy_version"] == np.__version__
+        assert json.loads(json.dumps(info)) == info
 
 
 class TestFused1D:
-    """The 1-D cumulative/extreme kernels against the multi-pass NumPy path."""
+    """The 1-D batch chain on degenerate and out-of-domain bounds."""
 
     @pytest.fixture(scope="class", params=["count", "sum", "max", "min"])
     def index(self, request, tweet_small, hki_small):
@@ -85,73 +43,56 @@ class TestFused1D:
             aggregate = Aggregate.MAX if request.param == "max" else Aggregate.MIN
         return PolyFitIndex.build(keys, measures, aggregate, delta=40.0)
 
-    @pytest.mark.parametrize("compiled", COMPILED_MODES)
-    @settings(max_examples=25, deadline=None)
-    @given(pairs=_bounds_strategy())
-    def test_estimates_bit_identical(self, index, compiled, pairs):
-        lows, highs = _to_arrays(pairs)
-        reference = index._estimate_batch_validated_numpy(lows, highs)
-        fused, _ = index._fused_batch(lows, highs, np.inf, compiled=compiled)
-        assert np.array_equal(reference, fused, equal_nan=True)
-
-    @pytest.mark.parametrize("compiled", COMPILED_MODES)
-    @settings(max_examples=15, deadline=None)
-    @given(pairs=_bounds_strategy(), eps=st.floats(min_value=0.01, max_value=1.0))
-    def test_certificates_bit_identical(self, index, compiled, pairs, eps):
-        lows, highs = _to_arrays(pairs)
-        reference = index._estimate_batch_validated_numpy(lows, highs)
-        threshold = index.certified_bound * (1.0 + 1.0 / eps)
-        _, certified = index._fused_batch(lows, highs, threshold, compiled=compiled)
-        with np.errstate(invalid="ignore"):
-            expected = reference >= threshold
-        assert np.array_equal(expected, certified)
-
-    def test_degenerate_and_out_of_domain(self, index):
-        span = index._key_span()
-        lo, hi = span
+    def test_degenerate_and_out_of_domain(self, index, tweet_small, hki_small):
+        keys, _ = tweet_small if index.aggregate.is_cumulative else hki_small
+        lo, hi = float(keys.min()), float(keys.max())
         lows = np.array([lo - 100.0, hi + 1.0, lo, lo, hi])
         highs = np.array([lo - 50.0, hi + 2.0, lo, hi, hi])
-        reference = index._estimate_batch_validated_numpy(lows, highs)
-        fused, _ = index._fused_batch(lows, highs, np.inf, compiled=False)
-        assert np.array_equal(reference, fused, equal_nan=True)
-
-    def test_query_batch_numpy_vs_kernel_dispatch(self, index):
-        rng = np.random.default_rng(17)
-        lo, hi = index._key_span()
-        lows = rng.uniform(lo - 10, hi, 300)
-        highs = lows + rng.uniform(0, (hi - lo) / 3, 300)
-        index.set_kernel("numpy")
-        by_numpy = index.query_batch(lows, highs, Guarantee.relative(0.1))
-        if NUMBA_AVAILABLE:
-            index.set_kernel("numba")
-            by_numba = index.query_batch(lows, highs, Guarantee.relative(0.1))
-            index.set_kernel("auto")
-            assert np.array_equal(by_numpy.values, by_numba.values, equal_nan=True)
-            assert np.array_equal(by_numpy.exact_fallback, by_numba.exact_fallback)
+        batch = index.estimate_batch(lows, highs)
+        scalar = np.array([
+            index.estimate(RangeQuery(low, high, index.aggregate))
+            for low, high in zip(lows, highs)
+        ])
+        assert np.allclose(batch, scalar, equal_nan=True)
+        # Independent oracle: every estimate is within the certified bound
+        # of the exact answer; empty MAX/MIN ranges are NaN on both sides.
+        exact = index.exact_batch(lows, highs)
+        assert np.array_equal(np.isnan(batch), np.isnan(exact))
+        present = ~np.isnan(exact)
+        assert np.all(
+            np.abs(batch[present] - exact[present]) <= index.certified_bound + 1e-6
+        )
 
 
 class TestFused1DDelta:
-    """Kernel dispatch under a non-empty delta buffer (overlay path)."""
+    """The batch chain under a non-empty delta buffer (overlay path)."""
 
     def test_overlay_matches_scalar_after_inserts(self, tweet_small):
         keys, _ = tweet_small
         index = UpdatablePolyFitIndex.build(keys, delta=40.0)
         rng = np.random.default_rng(23)
-        index.insert(rng.uniform(keys.min(), keys.max(), 200))
+        inserted = rng.uniform(keys.min(), keys.max(), 200)
+        index.insert(inserted)
         lows = rng.uniform(keys.min(), keys.max(), 500)
         highs = lows + rng.uniform(0, 20, 500)
         combined = index.estimate_batch(lows, highs)
         # The overlay adds the buffer's exact contribution on top of the
-        # base estimate; pin that decomposition through the kernel path too.
-        base = index.base._estimate_batch_validated_numpy(lows, highs)
-        fused_base, _ = index.base._fused_batch(lows, highs, np.inf, compiled=False)
-        assert np.array_equal(base, fused_base, equal_nan=True)
-        delta_part = combined - base
-        assert np.all(delta_part >= 0)
+        # base estimate: the difference is exactly the in-range insert count.
+        base = index.base.estimate_batch(lows, highs)
+        in_range = np.array([
+            np.count_nonzero((inserted >= low) & (inserted <= high))
+            for low, high in zip(lows, highs)
+        ])
+        assert np.allclose(combined - base, in_range)
+        scalar = np.array([
+            index.query(RangeQuery(low, high, Aggregate.COUNT)).value
+            for low, high in zip(lows, highs)
+        ])
+        assert np.allclose(combined, scalar)
 
 
 class TestFused2D:
-    """The fused 4-corner kernel against the tiled NumPy evaluation."""
+    """The 2-D corner chain when the directory must locate by descent."""
 
     @pytest.fixture(scope="class")
     def clustered_index(self):
@@ -164,22 +105,6 @@ class TestFused2D:
         )
         return PolyFit2DIndex.build(xs, ys, delta=80.0, grid_resolution=64)
 
-    @pytest.mark.parametrize("compiled", COMPILED_MODES)
-    @settings(max_examples=20, deadline=None)
-    @given(pairs=_bounds_strategy(st.integers(min_value=1, max_value=20)))
-    def test_corners_bit_identical(self, clustered_index, compiled, pairs):
-        lows, highs = _to_arrays(pairs)
-        scale = 30.0 / 1400.0
-        x_lows = lows * scale - 20.0
-        x_highs = highs * scale - 20.0
-        y_lows = lows * scale - 15.0
-        y_highs = highs * scale - 15.0
-        reference = clustered_index._estimate_batch_numpy(x_lows, x_highs, y_lows, y_highs)
-        fused, _ = clustered_index._fused_batch(
-            x_lows, x_highs, y_lows, y_highs, np.inf, compiled=compiled
-        )
-        assert np.array_equal(reference, fused, equal_nan=True)
-
     def test_descent_fallback_matches(self, clustered_index):
         directory = clustered_index.directory
         rng = np.random.default_rng(31)
@@ -187,90 +112,20 @@ class TestFused2D:
         x_highs = x_lows + rng.uniform(0, 15, 400)
         y_lows = rng.uniform(-15, 10, 400)
         y_highs = y_lows + rng.uniform(0, 10, 400)
-        reference = clustered_index._estimate_batch_numpy(x_lows, x_highs, y_lows, y_highs)
+        reference = clustered_index.estimate_batch(x_lows, x_highs, y_lows, y_highs)
         saved = directory._x_boundaries, directory._y_boundaries
-        saved_payload = clustered_index._kernel_payload_cache
         try:
+            # Deep trees carry no boundary arrays; locate falls back to the
+            # midpoint descent, which must pick the same leaves.
             directory._x_boundaries = None
             directory._y_boundaries = None
-            clustered_index._kernel_payload_cache = None
-            fused, _ = clustered_index._fused_batch(
-                x_lows, x_highs, y_lows, y_highs, np.inf, compiled=False
-            )
+            descended = clustered_index.estimate_batch(x_lows, x_highs, y_lows, y_highs)
         finally:
             directory._x_boundaries, directory._y_boundaries = saved
-            clustered_index._kernel_payload_cache = saved_payload
-        assert np.array_equal(reference, fused, equal_nan=True)
+        assert np.array_equal(reference, descended, equal_nan=True)
+        scalar = np.array([
+            clustered_index.estimate(RangeQuery2D(*bounds))
+            for bounds in zip(x_lows, x_highs, y_lows, y_highs)
+        ])
+        assert np.allclose(reference, scalar)
 
-    def test_deep_tree_falls_back_to_numpy(self, clustered_index):
-        directory = clustered_index.directory
-        saved = directory.depth
-        try:
-            directory.depth = 32
-            assert clustered_index.kernel == "numpy"
-        finally:
-            directory.depth = saved
-
-    def test_2d_query_batch_dispatch(self, clustered_index):
-        rng = np.random.default_rng(37)
-        x_lows = rng.uniform(-20, 25, 300)
-        x_highs = x_lows + rng.uniform(0, 20, 300)
-        y_lows = rng.uniform(-15, 10, 300)
-        y_highs = y_lows + rng.uniform(0, 15, 300)
-        clustered_index.set_kernel("numpy")
-        by_numpy = clustered_index.query_batch(
-            x_lows, x_highs, y_lows, y_highs, Guarantee.relative(0.1)
-        )
-        if NUMBA_AVAILABLE:
-            clustered_index.set_kernel("numba")
-            by_numba = clustered_index.query_batch(
-                x_lows, x_highs, y_lows, y_highs, Guarantee.relative(0.1)
-            )
-            clustered_index.set_kernel("auto")
-            assert np.array_equal(by_numpy.values, by_numba.values, equal_nan=True)
-            assert np.array_equal(by_numpy.exact_fallback, by_numba.exact_fallback)
-
-
-class TestRectangleExtremeKernel:
-    """The compiled x-window scan against the level-table extreme tree."""
-
-    @pytest.mark.parametrize("maximize", [True, False])
-    @pytest.mark.parametrize("compiled", COMPILED_MODES)
-    def test_scan_matches_tree(self, maximize, compiled):
-        rng = np.random.default_rng(41)
-        xs = rng.uniform(0, 100, 3000)
-        ys = rng.uniform(0, 100, 3000)
-        measures = rng.normal(0, 50, 3000)
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        ys_sorted = ys[order]
-        ms_sorted = measures[order]
-        x_lows = rng.uniform(-10, 100, 800)
-        x_highs = x_lows + rng.uniform(0, 40, 800)
-        y_lows = rng.uniform(-10, 100, 800)
-        y_highs = y_lows + rng.uniform(0, 40, 800)
-        got = fused2d.run_rectangle_extreme(
-            xs_sorted, ys_sorted, ms_sorted, maximize,
-            x_lows, x_highs, y_lows, y_highs, compiled=compiled,
-        )
-        reduce = np.max if maximize else np.min
-        for i in range(x_lows.size):
-            inside = (
-                (xs >= x_lows[i]) & (xs <= x_highs[i])
-                & (ys >= y_lows[i]) & (ys <= y_highs[i])
-            )
-            expected = float(reduce(measures[inside])) if inside.any() else float("nan")
-            assert np.array_equal(got[i], expected, equal_nan=True)
-
-
-class TestFused1DSources:
-    """Direct pins of the plain-Python kernel sources' bisection semantics."""
-
-    def test_bisect_matches_searchsorted_with_nan(self):
-        keys = np.array([1.0, 2.0, 2.0, 5.0, np.nan])
-        probes = [0.5, 1.0, 2.0, 3.0, 5.0, 6.0, np.nan]
-        for probe in probes:
-            left = fused1d._bisect_left(keys, probe)
-            right = fused1d._bisect_right(keys, probe)
-            assert left == int(np.searchsorted(keys, probe, side="left"))
-            assert right == int(np.searchsorted(keys, probe, side="right"))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Aggregate, Guarantee, PolyFitIndex, RangeQuery
+from repro import Aggregate, Guarantee, PolyFit2DIndex, PolyFitIndex, RangeQuery, RangeQuery2D
 from repro.baselines import BruteForceAggregator
 from repro.queries.batch import resolve_batch_certificates
 
@@ -176,16 +176,6 @@ class TestNonFiniteEstimatesFailClosed:
         assert np.array_equal(result.error_bounds[broken], np.zeros(3))
         assert result.values[2] == 40.0 and not result.exact_fallback[2]
 
-    def test_fused_certified_mask_cannot_certify_inf(self):
-        result = resolve_batch_certificates(
-            np.array([np.inf, 30.0]), error_bound=1.0,
-            guarantee=Guarantee.relative(0.1),
-            exact_for_mask=lambda mask: np.array([7.0, 8.0])[mask],
-            absolute_fallback=False, certified=np.array([True, True]),
-        )
-        assert result.values.tolist() == [7.0, 30.0]
-        assert result.exact_fallback.tolist() == [True, False]
-
     def test_extreme_nan_keeps_empty_range_semantics(self):
         result = resolve_batch_certificates(
             np.array([np.nan]), error_bound=1.0, guarantee=None,
@@ -194,15 +184,42 @@ class TestNonFiniteEstimatesFailClosed:
         )
         assert np.isnan(result.values[0]) and not result.exact_fallback[0]
 
-    def test_index_paths_fail_closed_on_overflowed_estimates(self, monkeypatch):
-        keys = np.arange(100.0)
-        index = PolyFitIndex.build(keys, aggregate=Aggregate.COUNT, delta=5.0)
+    @staticmethod
+    def _overflowed_1d(monkeypatch):
+        index = PolyFitIndex.build(np.arange(100.0), aggregate=Aggregate.COUNT, delta=5.0)
         monkeypatch.setattr(index, "_approximate", lambda query: float("inf"))
         monkeypatch.setattr(
             index, "_estimate_batch_validated", lambda lows, highs: np.full(lows.size, np.inf)
         )
-        for guarantee in (None, Guarantee.absolute(100.0), Guarantee.relative(0.5)):
-            scalar = index.query(RangeQuery(10.0, 19.0, Aggregate.COUNT), guarantee)
-            batch = index.query_batch(np.array([10.0]), np.array([19.0]), guarantee)
-            assert scalar.value == batch.values[0] == 10.0
-            assert scalar.exact_fallback and batch.exact_fallback[0]
+        return (
+            lambda guarantee: index.query(RangeQuery(10.0, 19.0, Aggregate.COUNT), guarantee),
+            lambda guarantee: index.query_batch(np.array([10.0]), np.array([19.0]), guarantee),
+        )
+
+    @staticmethod
+    def _overflowed_2d(monkeypatch):
+        grid = np.arange(10.0)
+        xs, ys = (axis.ravel() for axis in np.meshgrid(grid, grid))
+        index = PolyFit2DIndex.build(xs, ys, delta=5.0, grid_resolution=16)
+        monkeypatch.setattr(index, "estimate", lambda query: float("inf"))
+        monkeypatch.setattr(
+            index, "estimate_batch",
+            lambda x_lows, x_highs, y_lows, y_highs: np.full(np.size(x_lows), np.inf),
+        )
+        # The rectangle [2, 3] x [0, 4] holds 2 * 5 = 10 grid points.
+        bounds = (2.0, 3.0, 0.0, 4.0)
+        return (
+            lambda guarantee: index.query(RangeQuery2D(*bounds), guarantee),
+            lambda guarantee: index.query_batch(
+                *(np.array([bound]) for bound in bounds), guarantee
+            ),
+        )
+
+    def test_index_paths_fail_closed_on_overflowed_estimates(self, monkeypatch):
+        for make_index in (self._overflowed_1d, self._overflowed_2d):
+            scalar_query, batch_query = make_index(monkeypatch)
+            for guarantee in (None, Guarantee.absolute(100.0), Guarantee.relative(0.5)):
+                scalar = scalar_query(guarantee)
+                batch = batch_query(guarantee)
+                assert scalar.value == batch.values[0] == 10.0
+                assert scalar.exact_fallback and batch.exact_fallback[0]
