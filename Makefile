@@ -8,13 +8,15 @@
 #                       silent non-finite intermediate fails the build
 #   make smoke-batch  - fast perf gate: batch/scalar equivalence (1-D and
 #                       2-D, including the flat cell-directory property
-#                       tests), the O(batch) exact-fallback allocation
-#                       tests, sharding/codec round-trips, the durability
-#                       fault tests (WAL crash-point sweep, degraded fleet
-#                       reads, fsck, serve resilience) and the scaled-down
-#                       shard-scaling bench (which emits
-#                       BENCH_shard_scaling.json); run before merging
-#                       changes that touch the query hot path
+#                       tests), the snapped exact fallback (prefix sums and
+#                       the MAX/MIN block-extreme table against scalar
+#                       oracles, NaN-bound rejection), the O(batch)
+#                       exact-fallback allocation tests, sharding/codec
+#                       round-trips, the durability fault tests (WAL
+#                       crash-point sweep, degraded fleet reads, fsck,
+#                       serve resilience) and the scaled-down shard-scaling
+#                       bench (which emits BENCH_shard_scaling.json); run
+#                       before merging changes that touch the query hot path
 #   make bench-batch  - full scalar-vs-batch throughput sweep (1-D methods
 #                       and the 2-D linearized-directory section), writes
 #                       BENCH_batch_throughput.json
@@ -80,7 +82,8 @@ strict-warnings:
 
 smoke-batch:
 	$(PYTHON) -m pytest -x -q tests/test_batch_equivalence.py tests/test_batch_smoke.py \
-		tests/test_functions_cumulative.py tests/test_baselines_exact.py \
+		tests/test_functions_cumulative.py tests/test_functions_key_measure.py \
+		tests/test_property_index.py tests/test_baselines_exact.py \
 		tests/test_directory.py tests/test_sharding.py tests/test_codec.py \
 		tests/test_codec_compat.py tests/test_fitting_incremental.py \
 		tests/test_stream_updatable.py tests/test_stream_2d.py \

@@ -98,7 +98,7 @@ class AggregateSegmentTree:
 
     def range_query(self, key_low: float, key_high: float) -> float:
         """Aggregate over records whose *key* lies in ``[key_low, key_high]``."""
-        if key_high < key_low:
+        if not key_low <= key_high:
             raise QueryError(f"invalid range [{key_low}, {key_high}]")
         lo = int(np.searchsorted(self._keys, key_low, side="left"))
         hi = int(np.searchsorted(self._keys, key_high, side="right")) - 1
@@ -132,8 +132,8 @@ class AggregateSegmentTree:
         key_highs = np.asarray(key_highs, dtype=np.float64)
         if key_lows.shape != key_highs.shape:
             raise QueryError("lows and highs must have matching shapes")
-        if np.any(key_highs < key_lows):
-            raise QueryError("invalid range: high < low")
+        if not np.all(key_lows <= key_highs):
+            raise QueryError("invalid range: need low <= high")
         lo_idx = np.searchsorted(self._keys, key_lows, side="left")
         hi_idx = np.searchsorted(self._keys, key_highs, side="right") - 1
         empty_value = (
@@ -316,7 +316,7 @@ class AggregateRTree2D:
 
     def rectangle_aggregate(self, x_low: float, x_high: float, y_low: float, y_high: float) -> float:
         """Exact COUNT/SUM over the closed query rectangle."""
-        if x_high < x_low or y_high < y_low:
+        if not (x_low <= x_high and y_low <= y_high):
             raise QueryError("invalid rectangle bounds")
         total = 0.0
         stack = [self._root]

@@ -214,7 +214,7 @@ class BPlusTree:
 
     def items_in_range(self, low: float, high: float):
         """Yield (key, value) pairs with ``low <= key <= high`` in key order."""
-        if high < low:
+        if not low <= high:
             raise QueryError(f"invalid range [{low}, {high}]")
         leaf = self._find_leaf(float(low))
         index = bisect_left(leaf.keys, float(low))

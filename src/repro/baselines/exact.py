@@ -79,7 +79,7 @@ class KeyCumulativeArray:
 
     def range_aggregate(self, low: float, high: float) -> float:
         """Exact SUM/COUNT over keys in the closed range ``[low, high]``."""
-        if high < low:
+        if not low <= high:
             raise QueryError(f"invalid range [{low}, {high}]")
         hi = int(np.searchsorted(self.keys, high, side="right"))
         lo = int(np.searchsorted(self.keys, low, side="left"))
@@ -100,8 +100,8 @@ class KeyCumulativeArray:
         highs = np.asarray(highs, dtype=np.float64)
         if lows.shape != highs.shape:
             raise QueryError("lows and highs must have matching shapes")
-        if np.any(highs < lows):
-            raise QueryError("invalid range: high < low")
+        if not np.all(lows <= highs):
+            raise QueryError("invalid range: need low <= high")
         # Empty ranges have identical insertion points on both sides, so the
         # difference is exactly 0 — no special-casing needed.
         upper = prefix_at(self.cumulative, np.searchsorted(self.keys, highs, side="right"))
@@ -138,7 +138,7 @@ class BruteForceAggregator:
 
     def range_aggregate(self, low: float, high: float, aggregate: Aggregate) -> float:
         """Exact one-key range aggregate by scanning every record."""
-        if high < low:
+        if not low <= high:
             raise QueryError(f"invalid range [{low}, {high}]")
         mask = (self._keys >= low) & (self._keys <= high)
         selected = self._measures[mask]
@@ -183,7 +183,7 @@ class BruteForceAggregator:
         """Exact two-key rectangle aggregate by scanning every record."""
         if self._second_keys is None:
             raise QueryError("two-key query on a one-key aggregator")
-        if x_high < x_low or y_high < y_low:
+        if not (x_low <= x_high and y_low <= y_high):
             raise QueryError("invalid rectangle bounds")
         mask = (
             (self._keys >= x_low)
@@ -272,7 +272,7 @@ class PrefixSumGrid2D:
 
     def rectangle_estimate(self, x_low: float, x_high: float, y_low: float, y_high: float) -> float:
         """Estimate the rectangle aggregate by 4-corner inclusion-exclusion."""
-        if x_high < x_low or y_high < y_low:
+        if not (x_low <= x_high and y_low <= y_high):
             raise QueryError("invalid rectangle bounds")
         return (
             self._prefix_at(x_high, y_high)

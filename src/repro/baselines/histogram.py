@@ -62,7 +62,7 @@ class _BaseHistogram:
 
     def range_estimate(self, low: float, high: float) -> float:
         """Estimated aggregate over ``[low, high]``."""
-        if high < low:
+        if not low <= high:
             raise QueryError("invalid range")
         return self._cumulative_at(high) - self._cumulative_at(low)
 
@@ -87,8 +87,8 @@ class _BaseHistogram:
         highs = np.asarray(highs, dtype=np.float64)
         if lows.shape != highs.shape:
             raise QueryError("lows and highs must have matching shapes")
-        if np.any(highs < lows):
-            raise QueryError("invalid range: high < low")
+        if not np.all(lows <= highs):
+            raise QueryError("invalid range: need low <= high")
         return self._cumulative_at_batch(highs) - self._cumulative_at_batch(lows)
 
     def size_in_bytes(self) -> int:

@@ -139,7 +139,7 @@ class SequentialSampler:
 
     def range_estimate(self, low: float, high: float, aggregate: Aggregate = Aggregate.COUNT) -> float:
         """Estimate a one-key range aggregate."""
-        if high < low:
+        if not low <= high:
             raise QueryError("invalid range")
         estimate, _ = self._estimate(
             lambda idx: self._selection_mask_1d(low, high, idx), aggregate
@@ -155,7 +155,7 @@ class SequentialSampler:
         aggregate: Aggregate = Aggregate.COUNT,
     ) -> float:
         """Estimate a two-key rectangle aggregate."""
-        if x_high < x_low or y_high < y_low:
+        if not (x_low <= x_high and y_low <= y_high):
             raise QueryError("invalid rectangle bounds")
         estimate, _ = self._estimate(
             lambda idx: self._selection_mask_2d(x_low, x_high, y_low, y_high, idx), aggregate

@@ -103,7 +103,7 @@ class Polynomial1D:
         (argbest, best):
             The key achieving the extremum and the polynomial value there.
         """
-        if high < low:
+        if not low <= high:
             raise QueryError(f"invalid interval [{low}, {high}]")
         candidates = [low, high]
         deriv = self.derivative()

@@ -15,7 +15,65 @@ import numpy as np
 from ..config import Aggregate
 from ..errors import DataError, QueryError
 
-__all__ = ["CumulativeFunction", "build_cumulative_function", "prefix_at"]
+__all__ = [
+    "CumulativeFunction",
+    "build_cumulative_function",
+    "prefix_at",
+    "snap_bounds",
+    "validate_ranges",
+]
+
+#: Below this many needles a plain ``searchsorted`` is as fast as sorting
+#: first (measured break-even on 1M keys), so small batches — a batch of
+#: one above all — skip the argsort and scatter.
+_SORTED_SEARCH_MIN = 32
+
+
+def validate_ranges(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce N closed ranges to float arrays and reject malformed ones.
+
+    ``not (low <= high)`` rather than ``high < low``: a NaN bound compares
+    false both ways, so only the negated form rejects it.  Infinite bounds
+    are valid (they just cover everything on that side).
+    """
+    lows = np.asarray(lows, dtype=np.float64)
+    highs = np.asarray(highs, dtype=np.float64)
+    if lows.shape != highs.shape:
+        raise QueryError("lows and highs must have matching shapes")
+    if not np.all(lows <= highs):
+        raise QueryError("invalid range: need low <= high (NaN bounds are rejected)")
+    return lows, highs
+
+
+def _sorted_search(keys: np.ndarray, needles: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(keys, needles, side)``, searched in sorted needle order."""
+    if needles.size < _SORTED_SEARCH_MIN:
+        return np.searchsorted(keys, needles, side=side)
+    order = np.argsort(needles)
+    out = np.empty(needles.shape, dtype=np.intp)
+    out[order] = np.searchsorted(keys, needles[order], side=side)
+    return out
+
+
+def snap_bounds(
+    keys: np.ndarray, lows: np.ndarray, highs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion points of N closed ranges ``[lows[i], highs[i]]`` into ``keys``.
+
+    Returns ``(lo, hi)`` with ``keys[lo[i]:hi[i]]`` the sorted keys inside
+    range ``i``: ``lo`` counts the keys strictly below each low bound and
+    ``hi`` the keys at or below each high bound.  This is the one bound
+    search of the 1-D batch path; estimate and exact fallback both read it.
+
+    Each side is searched in sorted needle order and scattered back.
+    NumPy's binary search starts from the previous needle's result when the
+    needles ascend, and consecutive sorted needles share cache-hot search
+    paths, so a large batch costs far less per needle than in query order
+    (about 430 -> 190 ns per needle for 4096-needle batches into 1M keys,
+    argsort included).  Element for element
+    the result is exactly that of a plain ``searchsorted``.
+    """
+    return _sorted_search(keys, lows, "left"), _sorted_search(keys, highs, "right")
 
 
 def prefix_at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -103,7 +161,7 @@ class CumulativeFunction:
         the relational-algebra semantics (``k in [lq, uq]`` inclusive) we
         subtract the cumulative value just *below* ``low``.
         """
-        if high < low:
+        if not low <= high:
             raise QueryError(f"invalid range [{low}, {high}]")
         upper = self.evaluate(high)
         lower_idx = int(np.searchsorted(self.keys, low, side="left"))
@@ -112,15 +170,17 @@ class CumulativeFunction:
 
     def range_sum_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`range_sum` over N ranges in O(1) NumPy calls."""
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        if lows.shape != highs.shape:
-            raise QueryError("lows and highs must have matching shapes")
-        if np.any(highs < lows):
-            raise QueryError("invalid range: high < low")
-        upper = prefix_at(self.values, np.searchsorted(self.keys, highs, side="right"))
-        lower = prefix_at(self.values, np.searchsorted(self.keys, lows, side="left"))
-        return upper - lower
+        lows, highs = validate_ranges(lows, highs)
+        return self.sums_between(*snap_bounds(self.keys, lows, highs))
+
+    def sums_between(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Exact sums over the snapped windows ``keys[lo[i]:hi[i]]``.
+
+        ``lo``/``hi`` are the insertion points of :func:`snap_bounds`, so
+        a caller that already snapped its bounds answers exactly without
+        searching the keys again.
+        """
+        return prefix_at(self.values, hi) - prefix_at(self.values, lo)
 
     def slice_points(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Return the (keys, values) points with indices in ``[start, stop)``."""

@@ -172,7 +172,7 @@ class Cumulative2D:
 
     def range_count(self, x_low: float, x_high: float, y_low: float, y_high: float) -> float:
         """Exact COUNT/SUM over the closed rectangle via inclusion-exclusion."""
-        if x_high < x_low or y_high < y_low:
+        if not (x_low <= x_high and y_low <= y_high):
             raise QueryError("invalid rectangle bounds")
         hi = int(np.searchsorted(self.xs_sorted, x_high, side="right"))
         lo = int(np.searchsorted(self.xs_sorted, x_low, side="left"))
@@ -205,7 +205,7 @@ class Cumulative2D:
         x_highs = np.asarray(x_highs, dtype=np.float64)
         y_lows = np.asarray(y_lows, dtype=np.float64)
         y_highs = np.asarray(y_highs, dtype=np.float64)
-        if np.any(x_highs < x_lows) or np.any(y_highs < y_lows):
+        if not (np.all(x_lows <= x_highs) and np.all(y_lows <= y_highs)):
             raise QueryError("invalid rectangle bounds")
         tree, ys_by_value = self._prefix_structures()
         hi = np.searchsorted(self.xs_sorted, x_highs, side="right")

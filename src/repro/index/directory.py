@@ -40,6 +40,7 @@ from ..errors import QueryError, SegmentationError
 from ..fitting.polynomial import PolynomialBank, SurfaceBank
 from ..fitting.quadtree import QuadCell, linearize_quadtree, morton_interleave2
 from ..fitting.segmentation import Segment
+from ..functions.key_measure import BlockExtremeTable
 
 __all__ = [
     "CellDirectory",
@@ -466,7 +467,7 @@ class QuadDirectory(CellDirectory):
         points (CSR slice).  NaN for an empty rectangle, matching the 1-D
         empty-range convention.  Requires :meth:`attach_extremes`.
         """
-        if x_high < x_low or y_high < y_low:
+        if not (x_low <= x_high and y_low <= y_high):
             raise QueryError("invalid rectangle bounds")
         if self.point_extremes is None:
             raise QueryError("call attach_extremes() before range_extreme()")
@@ -516,7 +517,7 @@ class QuadDirectory(CellDirectory):
         y_highs = np.atleast_1d(np.asarray(y_highs, dtype=np.float64))
         if not (x_lows.shape == x_highs.shape == y_lows.shape == y_highs.shape):
             raise QueryError("rectangle bound arrays must have matching shapes")
-        if np.any(x_highs < x_lows) or np.any(y_highs < y_lows):
+        if not (np.all(x_lows <= x_highs) and np.all(y_lows <= y_highs)):
             raise QueryError("invalid rectangle bounds")
         if self.point_extremes is None:
             raise QueryError("call attach_extremes() before range_extreme_batch()")
@@ -1007,106 +1008,37 @@ def _axis_cells(coords: np.ndarray, boundaries: np.ndarray, scale: float | None)
     return cells
 
 
-class RangeExtremeTable:
-    """Vectorized inclusive range-extreme queries over a fixed value array.
+class RangeExtremeTable(BlockExtremeTable):
+    """:class:`BlockExtremeTable` plus in-block prefix/suffix extremes.
 
-    Block decomposition with block size ``BLOCK``: per-block extremes carry a
-    sparse table for the full blocks strictly inside a window, in-block
-    prefix/suffix extreme arrays answer the partial end blocks, and windows
-    inside a single block reduce over a masked fixed-width gather.  Every
-    path is O(1) NumPy calls for N windows.
+    The two per-element arrays answer a spanning window's partial end
+    blocks with one gather each instead of a ``2 * BLOCK``-wide masked
+    gather.  That trade (2n extra doubles) pays on the estimate path,
+    which probes every query's window; the exact fallback, which sees only
+    the failing subset, uses the lean base table.
     """
 
-    BLOCK = 32
-
     def __init__(self, values: np.ndarray, maximize: bool) -> None:
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise QueryError("values must be a non-empty 1-D array")
-        self._values = values
-        self._maximize = bool(maximize)
-        self._combine = np.maximum if maximize else np.minimum
-        fill = -np.inf if maximize else np.inf
+        super().__init__(values, maximize)
         block = self.BLOCK
-        n = values.size
-        num_blocks = -(-n // block)
-        padded = np.full(num_blocks * block, fill, dtype=np.float64)
-        padded[:n] = values
+        n = self._values.size
+        num_blocks = self._block_extremes.size
+        padded = np.full(num_blocks * block, self._fill, dtype=np.float64)
+        padded[:n] = self._values
         grid = padded.reshape(num_blocks, block)
         accumulate = np.maximum.accumulate if maximize else np.minimum.accumulate
-        # Fill-padded copy for the fixed-width same-block gather: one spare
-        # block lets a gather starting at the last element stay in bounds.
-        self._values_padded = np.concatenate([padded, np.full(block, fill)])
-        self._block_extremes = grid.max(axis=1) if maximize else grid.min(axis=1)
         self._prefix_in_block = accumulate(grid, axis=1).reshape(-1)[:n]
         self._suffix_in_block = accumulate(grid[:, ::-1], axis=1)[:, ::-1].reshape(-1)[:n]
-        self._table = self._build_sparse_table(self._block_extremes)
-        self._fill = fill
 
-    def _build_sparse_table(self, values: np.ndarray) -> np.ndarray:
-        """``table[k, i]`` = extreme over ``values[i : i + 2**k]`` (clamped)."""
-        n = values.size
-        levels = max(1, int(np.log2(n)) + 1)
-        table = np.empty((levels, n), dtype=np.float64)
-        table[0] = values
-        for k in range(1, levels):
-            span = 1 << (k - 1)
-            table[k, : n - span] = self._combine(table[k - 1, : n - span], table[k - 1, span:])
-            table[k, n - span:] = table[k - 1, n - span:]
-        return table
-
-    def _sparse_query(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Range extreme over whole blocks ``[lo, hi]`` (inclusive, lo <= hi)."""
-        length = hi - lo + 1
-        k = np.floor(np.log2(length)).astype(np.intp)
-        offset = hi - (np.left_shift(1, k)) + 1
-        return self._combine(self._table[k, lo], self._table[k, offset])
-
-    def query(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Extremes over the inclusive index windows ``[lo[i], hi[i]]``."""
-        lo = np.asarray(lo, dtype=np.intp)
-        hi = np.asarray(hi, dtype=np.intp)
-        if lo.shape != hi.shape:
-            raise QueryError("lo and hi must have matching shapes")
-        if lo.size and (lo.min() < 0 or hi.max() >= self._values.size or np.any(hi < lo)):
-            raise QueryError("window indices out of range")
-        block = self.BLOCK
-        b_lo = lo // block
-        b_hi = hi // block
-        out = np.empty(lo.shape, dtype=np.float64)
-        same = b_lo == b_hi
-        if np.any(same):
-            win_lo = lo[same]
-            win_hi = hi[same]
-            idx = win_lo[:, None] + np.arange(block, dtype=np.intp)[None, :]
-            reduce = np.maximum.reduce if self._maximize else np.minimum.reduce
-            out[same] = reduce(
-                self._values_padded[idx],
-                axis=1,
-                where=idx <= win_hi[:, None],
-                initial=self._fill,
-            )
-        spanning = ~same
-        if np.any(spanning):
-            win_lo = lo[spanning]
-            win_hi = hi[spanning]
-            value = self._combine(self._suffix_in_block[win_lo], self._prefix_in_block[win_hi])
-            first_full = b_lo[spanning] + 1
-            last_full = b_hi[spanning] - 1
-            has_middle = last_full >= first_full
-            if np.any(has_middle):
-                middle = self._sparse_query(first_full[has_middle], last_full[has_middle])
-                value[has_middle] = self._combine(value[has_middle], middle)
-            out[spanning] = value
-        return out
+    def _spanning_ends(
+        self, lo: np.ndarray, hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray
+    ) -> np.ndarray:
+        return self._combine(self._suffix_in_block[lo], self._prefix_in_block[hi])
 
     def size_in_bytes(self) -> int:
         """Footprint of the table arrays (excluding the values themselves)."""
-        return int(
-            self._block_extremes.nbytes
-            + self._prefix_in_block.nbytes
-            + self._suffix_in_block.nbytes
-            + self._table.nbytes
+        return super().size_in_bytes() + int(
+            self._prefix_in_block.nbytes + self._suffix_in_block.nbytes
         )
 
 

@@ -183,17 +183,12 @@ class DirectoryOverlay:
         """Combined approximate answers for N ranges."""
         lows, highs = validate_bounds_batch(lows, highs)
         base = self._base.estimate_batch(lows, highs)
-        if self._delta.is_empty:
-            return base
-        return _combine(base, self._delta.contribution_batch(lows, highs), self.aggregate)
+        return self._with_delta(base, self._delta_part(lows, highs))
 
     def exact_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Combined exact answers for N ranges."""
         lows, highs = validate_bounds_batch(lows, highs)
-        base = self._base.exact_batch(lows, highs)
-        if self._delta.is_empty:
-            return base
-        return _combine(base, self._delta.contribution_batch(lows, highs), self.aggregate)
+        return self._with_delta(self._base.exact_batch(lows, highs), self._delta_part(lows, highs))
 
     def query_batch(
         self,
@@ -205,18 +200,34 @@ class DirectoryOverlay:
 
         The certified bound is unchanged by the exact delta part, so the
         Lemma 3/5 relative certificate applies to the combined value; failing
-        queries take the combined exact fallback.
+        queries take the combined exact fallback.  The base part snaps its
+        bounds once and its exact fallback reads those insertion points; the
+        delta part is exact already, so the fallback reuses it as computed.
         """
         lows, highs = validate_bounds_batch(lows, highs)
-        approx = self.estimate_batch(lows, highs)
+        lo, hi = self._base._snap(lows, highs)
+        delta = self._delta_part(lows, highs)
         return resolve_batch_certificates(
-            approx,
+            self._with_delta(self._base._estimate_snapped(lo, hi), delta),
             error_bound=self.certified_bound,
             guarantee=guarantee,
-            exact_for_mask=lambda mask: self.exact_batch(lows[mask], highs[mask]),
+            exact_for_mask=lambda mask: self._with_delta(
+                self._base._exact_snapped(lo[mask], hi[mask]),
+                None if delta is None else delta[mask],
+            ),
             absolute_fallback=False,
             cumulative=self.aggregate.is_cumulative,
         )
+
+    def _delta_part(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray | None:
+        """The buffer's exact contribution, or None when the buffer is empty."""
+        if self._delta.is_empty:
+            return None
+        return self._delta.contribution_batch(lows, highs)
+
+    def _with_delta(self, base: np.ndarray, delta: np.ndarray | None) -> np.ndarray:
+        """Merge an exact delta contribution (if any) into base answers."""
+        return base if delta is None else _combine(base, delta, self.aggregate)
 
     # ------------------------------------------------------------------ #
     # Scalar interface (QueryEngine compatibility)

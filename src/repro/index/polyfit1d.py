@@ -35,7 +35,7 @@ from ..baselines.aggregate_tree import AggregateSegmentTree
 from ..config import Aggregate, IndexConfig
 from ..errors import DataError, GuaranteeNotSatisfiedError, NotSupportedError, QueryError
 from ..fitting.segmentation import Segment, greedy_segmentation
-from ..functions.cumulative import CumulativeFunction, build_cumulative_function
+from ..functions.cumulative import CumulativeFunction, build_cumulative_function, snap_bounds
 from ..functions.key_measure import KeyMeasureFunction, build_key_measure_function
 from ..queries.batch import resolve_batch_certificates, validate_bounds_batch
 from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery
@@ -341,32 +341,21 @@ class PolyFitIndex:
     def estimate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Approximate answers for N ranges ``[lows[i], highs[i]]`` at once.
 
-        SUM/COUNT runs entirely on flat arrays: two vectorized
-        ``searchsorted`` calls snap all bounds to sampled keys, the segment
-        directory is probed once for every corner, and the gathered
-        coefficient rows are evaluated with a single Horner pass
-        (:meth:`PolynomialBank.evaluate`) — O(1) NumPy calls for the whole
-        workload.  MAX/MIN vectorizes the snapping and segment location and
-        resolves the per-query boundary/interior merge individually (window
-        sizes differ per query).
+        O(1) NumPy calls for the whole workload: one sorted bound search
+        (:func:`~repro.functions.cumulative.snap_bounds`) snaps every bound
+        to the sampled keys, the segment directory is probed once for every
+        snapped corner, and then SUM/COUNT evaluates the gathered
+        coefficient rows with a single Horner pass
+        (:meth:`PolynomialBank.evaluate`) while MAX/MIN merges the boundary
+        segments' prefix/suffix extremes with the covered interior.
         """
         lows, highs = validate_bounds_batch(lows, highs)
-        return self._estimate_batch_validated(lows, highs)
-
-    def _estimate_batch_validated(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Dispatch already-validated bound arrays to the batch evaluators."""
-        if self._aggregate.is_cumulative:
-            return self._approximate_cumulative_batch(lows, highs)
-        return self._approximate_extreme_batch(lows, highs)
+        return self._estimate_snapped(*self._snap(lows, highs))
 
     def exact_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Exact answers for N ranges via the fallback structures."""
         lows, highs = validate_bounds_batch(lows, highs)
-        if self._aggregate.is_cumulative:
-            assert self._cumulative is not None
-            return self._cumulative.range_sum_batch(lows, highs)
-        assert self._key_measure is not None
-        return self._key_measure.range_extreme_batch(lows, highs)
+        return self._exact_snapped(*self._snap(lows, highs))
 
     def query_batch(
         self,
@@ -376,24 +365,52 @@ class PolyFitIndex:
     ) -> BatchQueryResult:
         """Answer N queries with the same semantics as :meth:`query`.
 
-        The guarantee logic is fully vectorized: the certified bound is a
-        construction-time constant, the Lemma 3/5 relative certificate is one
-        array comparison, and only the failing subset takes the masked
-        exact-fallback pass.  Queries inherit the index's aggregate.
+        The bounds are snapped to the sampled keys once; the estimate and
+        the exact fallback both read those insertion points, so no query's
+        bounds are searched twice.  The guarantee logic is fully vectorized:
+        the certified bound is a construction-time constant, the Lemma 3/5
+        relative certificate is one array comparison, and only the failing
+        subset takes the masked exact fallback (a prefix-sum difference for
+        SUM/COUNT, a block-extreme table query for MAX/MIN).  Queries
+        inherit the index's aggregate.
         """
         lows, highs = validate_bounds_batch(lows, highs)
-        approx = self._estimate_batch_validated(lows, highs)
+        lo, hi = self._snap(lows, highs)
         # PolyFit semantics for an unmet absolute guarantee: answer with the
         # approximation flagged un-guaranteed (the index was built with a
         # looser budget), never the exact method (absolute_fallback=False).
         return resolve_batch_certificates(
-            approx,
+            self._estimate_snapped(lo, hi),
             error_bound=self._certified_bound,
             guarantee=guarantee,
-            exact_for_mask=lambda mask: self.exact_batch(lows[mask], highs[mask]),
+            exact_for_mask=lambda mask: self._exact_snapped(lo[mask], hi[mask]),
             absolute_fallback=False,
             cumulative=self._aggregate.is_cumulative,
         )
+
+    def _snap(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Insertion points ``(lo, hi)`` of validated bounds into the sampled keys.
+
+        ``keys[lo[i]:hi[i]]`` are the sampled keys inside range ``i``; the
+        batch estimate and exact paths take these instead of raw bounds.
+        """
+        function = self._cumulative if self._aggregate.is_cumulative else self._key_measure
+        assert function is not None
+        return snap_bounds(function.keys, lows, highs)
+
+    def _estimate_snapped(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Batch estimates from the insertion points of :meth:`_snap`."""
+        if self._aggregate.is_cumulative:
+            return self._approximate_cumulative_batch(lo, hi)
+        return self._approximate_extreme_batch(lo, hi)
+
+    def _exact_snapped(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Batch exact answers from the insertion points of :meth:`_snap`."""
+        if self._aggregate.is_cumulative:
+            assert self._cumulative is not None
+            return self._cumulative.sums_between(lo, hi)
+        assert self._key_measure is not None
+        return self._key_measure.extremes_between(lo, hi)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -431,25 +448,27 @@ class PolyFitIndex:
         segment = self._segments[self._directory.locate(key)]
         return float(segment.polynomial(key))
 
-    def _approximate_cumulative_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    def _approximate_cumulative_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Vectorized counterpart of :meth:`_approximate_cumulative`.
 
-        The same two-corner evaluation (``P(uq) - P(lq)`` after snapping to
-        sampled keys), done for every query at once: one ``searchsorted`` per
-        side, one directory probe per side, one Horner pass over the gathered
-        coefficient rows.
+        The same two-corner evaluation (``P(uq) - P(lq)`` at the snapped
+        sampled keys), done for every query at once from the insertion
+        points of :meth:`_snap`: one directory probe for all corners, one
+        Horner pass over the gathered coefficient rows.
         """
         assert self._cumulative is not None
         keys = self._cumulative.keys
-        upper_idx = np.searchsorted(keys, highs, side="right") - 1
-        lower_idx = np.searchsorted(keys, lows, side="left") - 1
+        # Upper corner: last sampled key <= high; lower corner: last sampled
+        # key strictly below low (see _approximate_cumulative).
+        upper_idx = hi - 1
+        lower_idx = lo - 1
 
         sample_keys = np.concatenate(
             (keys[np.clip(upper_idx, 0, None)], keys[np.clip(lower_idx, 0, None)])
         )
         rows = self._directory.locate_batch(sample_keys)
         corner_values = self._directory.bank.evaluate(rows, sample_keys)
-        n = highs.size
+        n = hi.size
         upper_values = np.where(upper_idx >= 0, corner_values[:n], 0.0)
         lower_values = np.where(lower_idx >= 0, corner_values[n:], 0.0)
         # A query entirely below the first sampled key has no records.
@@ -509,30 +528,30 @@ class PolyFitIndex:
             return float("nan")
         return float(best)
 
-    def _approximate_extreme_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    def _approximate_extreme_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Batch counterpart of :meth:`_approximate_extreme` — O(1) NumPy calls.
 
-        Snapping to sampled keys and locating the covering segments is two
-        ``searchsorted`` passes; the boundary-segment merges then come from
-        the directory's per-segment prefix/suffix extreme arrays (one gather
-        per side) and the fully covered interior from its range-extreme table
-        over the stored per-segment extremes — no per-query Python work.
+        From the insertion points of :meth:`_snap`, locating the covering
+        segments is one directory probe per side; the boundary-segment
+        merges then come from the directory's per-segment prefix/suffix
+        extreme arrays (one gather per side) and the fully covered interior
+        from its range-extreme table over the stored per-segment extremes —
+        no per-query Python work.
         """
         assert self._key_measure is not None
         keys = self._key_measure.keys
-        lo_idx = np.searchsorted(keys, lows, side="left")
-        hi_idx = np.searchsorted(keys, highs, side="right") - 1
-        out = np.full(lows.shape, np.nan, dtype=np.float64)
-        non_empty = hi_idx >= lo_idx
+        hi_idx = hi - 1
+        out = np.full(lo.shape, np.nan, dtype=np.float64)
+        non_empty = hi_idx >= lo
         if not np.any(non_empty):
             return out
 
-        lo = lo_idx[non_empty]
-        hi = hi_idx[non_empty]
+        lo = lo[non_empty]
+        hi_idx = hi_idx[non_empty]
         first = self._directory.locate_batch(keys[lo])
-        last = self._directory.locate_batch(keys[hi])
+        last = self._directory.locate_batch(keys[hi_idx])
         extremes = self._extremes()
-        out[non_empty] = extremes.query(lo, hi, first, last)
+        out[non_empty] = extremes.query(lo, hi_idx, first, last)
         return out
 
     def _extremes(self):

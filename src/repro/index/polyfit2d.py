@@ -338,7 +338,7 @@ class PolyFit2DIndex:
         )
         if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
             raise QueryError("rectangle bound arrays must be equal-length 1-D arrays")
-        if np.any(arrays[1] < arrays[0]) or np.any(arrays[3] < arrays[2]):
+        if not (np.all(arrays[0] <= arrays[1]) and np.all(arrays[2] <= arrays[3])):
             raise QueryError("invalid rectangle bounds")
         return arrays
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..config import GuaranteeKind
 from ..errors import QueryError
+from ..functions.cumulative import validate_ranges
 from .types import BatchQueryResult, Guarantee
 
 __all__ = [
@@ -54,14 +55,16 @@ def iter_tiles(total: int, tile_size: int) -> Iterator[tuple[int, int]]:
 def validate_bounds_batch(
     lows: np.ndarray, highs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce and validate batch range bounds (same checks as the scalar path)."""
+    """Coerce and validate batch range bounds (same checks as the scalar path).
+
+    Every range must satisfy ``low <= high``, which rejects NaN bounds;
+    infinite bounds are valid.
+    """
     lows = np.atleast_1d(np.asarray(lows, dtype=np.float64))
     highs = np.atleast_1d(np.asarray(highs, dtype=np.float64))
     if lows.ndim != 1 or lows.shape != highs.shape:
         raise QueryError("lows and highs must be equal-length 1-D arrays")
-    if np.any(highs < lows):
-        raise QueryError("invalid range: high < low")
-    return lows, highs
+    return validate_ranges(lows, highs)
 
 
 def resolve_batch_certificates(

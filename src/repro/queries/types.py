@@ -67,7 +67,7 @@ class RangeQuery:
     aggregate: Aggregate
 
     def __post_init__(self) -> None:
-        if self.high < self.low:
+        if not self.low <= self.high:
             raise QueryError(f"invalid query range [{self.low}, {self.high}]")
 
     @property
@@ -87,7 +87,7 @@ class RangeQuery2D:
     aggregate: Aggregate = Aggregate.COUNT
 
     def __post_init__(self) -> None:
-        if self.x_high < self.x_low or self.y_high < self.y_low:
+        if not (self.x_low <= self.x_high and self.y_low <= self.y_high):
             raise QueryError("invalid rectangle bounds")
 
     @property

@@ -318,7 +318,7 @@ class Coalescer:
                 f"index {index!r} expects {2 * host.dims} bounds, got {len(bounds)}"
             )
         for low, high in zip(bounds[::2], bounds[1::2]):
-            if high < low:
+            if not low <= high:
                 raise QueryError(f"invalid query range [{low}, {high}]")
         if self._pending >= self._max_pending:
             self._obs.rejected.inc()

@@ -37,9 +37,14 @@ Routes
     Write endpoints for updatable indexes (404 on immutable hosts would be
     wrong — they return 400 with the library's NotSupported message).
 
-Status codes: 400 malformed request, 404 unknown route/index, 503 admission
-control / shutdown / expired deadline, 500 engine fault.  A query answered
-*around* failed fleet partitions (degraded read, see
+Status codes: 400 malformed request (including a non-numeric or negative
+``Content-Length``, and a range whose bounds fail ``low <= high`` — NaN
+bounds included), 404 unknown route/index, 413 body over the request-body
+limit, 503 admission control / shutdown / expired deadline, 500 engine
+fault.  A framing error (400/413) is answered with ``Connection: close``:
+the body was never read, so the stream cannot carry another request.
+
+A query answered *around* failed fleet partitions (degraded read, see
 :class:`~repro.fleet.router.FleetRouter`) returns **206 Partial Content**:
 the body is a normal answer whose certified bound was widened to cover the
 missing partitions, with ``"partial": true`` so clients can tell.  Every 503
@@ -99,6 +104,16 @@ _KNOWN_ENDPOINTS = frozenset(
         "/compact",
     }
 )
+
+
+class _FramingError(Exception):
+    """A request whose body cannot be framed; answered, then the connection closes."""
+
+    def __init__(self, method: str, path: str, status: int, message: str) -> None:
+        super().__init__(message)
+        self.method = method
+        self.path = path
+        self.status = status
 
 
 class _RawText(NamedTuple):
@@ -352,7 +367,13 @@ class ServeServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _FramingError as error:
+                    payload = {"error": str(error)}
+                    self._observe_request(error.method, error.path, error.status, 0.0, payload)
+                    await self._write_response(writer, error.status, payload, False)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -384,7 +405,7 @@ class ServeServer:
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3:
             return None
-        method, path, _ = parts
+        method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
         while True:
             line = await reader.readline()
@@ -392,11 +413,21 @@ class ServeServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip().lower()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > _MAX_BODY_BYTES:
-            return None
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _FramingError(
+                method, path, 400, f"malformed Content-Length {raw_length[:32]!r}"
+            )
+        # A digit string too long to be a sane length is oversized by
+        # definition (and int() refuses strings of thousands of digits).
+        length = int(raw_length) if len(raw_length) <= 18 else _MAX_BODY_BYTES + 1
+        if length > _MAX_BODY_BYTES:
+            raise _FramingError(
+                method, path, 413,
+                f"request body of {length} bytes exceeds the {_MAX_BODY_BYTES}-byte limit",
+            )
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, headers, body
+        return method, path, headers, body
 
     @staticmethod
     async def _write_response(
@@ -406,8 +437,8 @@ class ServeServer:
         keep_alive: bool,
     ) -> None:
         reasons = {200: "OK", 206: "Partial Content", 400: "Bad Request",
-                   404: "Not Found", 500: "Internal Server Error",
-                   503: "Service Unavailable"}
+                   404: "Not Found", 413: "Payload Too Large",
+                   500: "Internal Server Error", 503: "Service Unavailable"}
         if isinstance(payload, _RawText):
             body = payload.text.encode("utf-8")
             content_type = payload.content_type
@@ -570,9 +601,11 @@ class ServeServer:
             loop.run_in_executor(None, host.execute, view, columns, guarantee),
             deadline,
         )
-        bounds_list = [
-            None if np.isnan(b) else float(b) for b in answer.error_bounds
-        ]
+        # One C-level conversion; only a column that holds a NaN bound (an
+        # uncertified degraded answer) pays a Python pass to map it to null.
+        bounds_list = answer.error_bounds.tolist()
+        if np.isnan(answer.error_bounds).any():
+            bounds_list = [None if b != b else b for b in bounds_list]
         degraded_column = getattr(answer, "degraded", None)
         degraded = (
             degraded_column.tolist()

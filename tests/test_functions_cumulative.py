@@ -6,6 +6,7 @@ import pytest
 from repro import Aggregate
 from repro.errors import DataError, QueryError
 from repro.functions import build_cumulative_function
+from repro.functions.cumulative import snap_bounds
 
 
 class TestBuildCumulativeFunction:
@@ -173,3 +174,27 @@ class TestBatchEvaluationCost:
             tracemalloc.stop()
         assert answer[0] == 500_000.0 - 10.0
         assert peak < 1_000_000, f"one-query batch allocated {peak} bytes"
+
+
+class TestSnapBounds:
+    """The one sorted bound search of the 1-D batch path."""
+
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 1000])
+    def test_matches_plain_searchsorted(self, size):
+        rng = np.random.default_rng(size)
+        keys = np.unique(rng.integers(0, 500, size=400).astype(np.float64))
+        lows = rng.choice(np.concatenate((keys, rng.uniform(-10, 510, 50), [-np.inf])), size)
+        highs = lows + rng.choice([0.0, 0.5, 3.0], size)
+        highs[::7] = np.inf
+        lo, hi = snap_bounds(keys, lows, highs)
+        np.testing.assert_array_equal(lo, np.searchsorted(keys, lows, side="left"))
+        np.testing.assert_array_equal(hi, np.searchsorted(keys, highs, side="right"))
+
+    def test_nan_bounds_rejected(self):
+        cf = build_cumulative_function(np.arange(1000.0), aggregate=Aggregate.COUNT)
+        for lows, highs in (([np.nan], [5.0]), ([2.0], [np.nan]), ([np.nan], [np.nan])):
+            with pytest.raises(QueryError):
+                cf.range_sum_batch(np.array(lows), np.array(highs))
+        with pytest.raises(QueryError):
+            cf.range_sum(np.nan, 5.0)
+        assert cf.range_sum_batch(np.array([-np.inf]), np.array([np.inf]))[0] == 1000.0

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Aggregate, Guarantee, PolyFit2DIndex, PolyFitIndex, RangeQuery, RangeQuery2D
 from repro.baselines import BruteForceAggregator
+from repro.errors import QueryError
+from repro.stream import UpdatablePolyFitIndex
 from repro.queries.batch import resolve_batch_certificates
 
 
@@ -189,7 +191,7 @@ class TestNonFiniteEstimatesFailClosed:
         index = PolyFitIndex.build(np.arange(100.0), aggregate=Aggregate.COUNT, delta=5.0)
         monkeypatch.setattr(index, "_approximate", lambda query: float("inf"))
         monkeypatch.setattr(
-            index, "_estimate_batch_validated", lambda lows, highs: np.full(lows.size, np.inf)
+            index, "_estimate_snapped", lambda lo, hi: np.full(lo.size, np.inf)
         )
         return (
             lambda guarantee: index.query(RangeQuery(10.0, 19.0, Aggregate.COUNT), guarantee),
@@ -223,3 +225,99 @@ class TestNonFiniteEstimatesFailClosed:
                 batch = batch_query(guarantee)
                 assert scalar.value == batch.values[0] == 10.0
                 assert scalar.exact_fallback and batch.exact_fallback[0]
+
+
+def _bounds_with_edges(rng, keys, size):
+    """Random ranges plus out-of-domain, +-inf and single-key bounds."""
+    span = keys[-1] - keys[0]
+    lows = rng.uniform(keys[0] - 0.1 * span, keys[-1] + 0.1 * span, size)
+    highs = lows + rng.exponential(0.05 * span, size)
+    edges = np.array([
+        [-np.inf, np.inf], [-np.inf, keys[10]], [keys[-10], np.inf],
+        [keys[0] - 10.0, keys[0] - 1.0], [keys[-1] + 1.0, keys[-1] + 10.0],
+        [keys[5], keys[5]], [-1e300, 1e300], [np.inf, np.inf], [-np.inf, -np.inf],
+    ])
+    return np.concatenate((edges[:, 0], lows)), np.concatenate((edges[:, 1], highs))
+
+
+class TestSnappedExactFallback:
+    """query_batch snaps once; its fallback and estimate match the public paths."""
+
+    @staticmethod
+    def _index(aggregate):
+        rng = np.random.default_rng(21)
+        keys = np.sort(rng.uniform(0.0, 10_000.0, 3000))
+        measures = rng.uniform(1.0, 100.0, 3000)
+        return PolyFitIndex.build(
+            keys, None if aggregate is Aggregate.COUNT else measures, aggregate, delta=20.0
+        ), keys
+
+    @pytest.mark.parametrize(
+        "aggregate", [Aggregate.COUNT, Aggregate.SUM, Aggregate.MAX, Aggregate.MIN],
+        ids=["count", "sum", "max", "min"],
+    )
+    def test_fallback_equals_exact_batch_and_estimates_are_bit_identical(self, aggregate):
+        index, keys = self._index(aggregate)
+        lows, highs = _bounds_with_edges(np.random.default_rng(22), keys, 2000)
+        guarantee = Guarantee.relative(0.5)
+        result = index.query_batch(lows, highs, guarantee)
+        fb = result.exact_fallback
+        assert fb.any() and not fb.all()
+        np.testing.assert_array_equal(result.values[fb], index.exact_batch(lows[fb], highs[fb]))
+        np.testing.assert_array_equal(result.values[~fb], index.estimate_batch(lows, highs)[~fb])
+        # A batch of one answers exactly as its slot in the big batch.
+        for i in list(range(9)) + [int(np.argmax(fb)), int(np.argmin(fb))]:
+            single = index.query_batch(lows[i:i + 1], highs[i:i + 1], guarantee)
+            np.testing.assert_array_equal(single.values, result.values[i:i + 1])
+            assert single.exact_fallback[0] == fb[i]
+
+    @pytest.mark.parametrize("aggregate", [Aggregate.COUNT, Aggregate.MAX], ids=["count", "max"])
+    def test_exact_batch_matches_brute_force(self, aggregate):
+        index, keys = self._index(aggregate)
+        lows, highs = _bounds_with_edges(np.random.default_rng(23), keys, 300)
+        expected = np.array([index.exact(RangeQuery(lo, hi, aggregate))
+                             for lo, hi in zip(lows, highs)])
+        np.testing.assert_array_equal(index.exact_batch(lows, highs), expected)
+
+
+class TestNaNBoundsRejected:
+    """``[NaN, x]`` and ``[x, NaN]`` are malformed ranges, never answered."""
+
+    NAN_PAIRS = [(np.nan, 5.0), (2.0, np.nan), (np.nan, np.nan)]
+
+    def test_one_key_index_scalar_and_batch(self):
+        index = PolyFitIndex.build(np.arange(1000.0), aggregate=Aggregate.COUNT, delta=5.0)
+        for low, high in self.NAN_PAIRS:
+            with pytest.raises(QueryError):
+                index.query(RangeQuery(low, high, Aggregate.COUNT))
+            for call in (index.query_batch, index.estimate_batch, index.exact_batch):
+                with pytest.raises(QueryError):
+                    call(np.array([1.0, low]), np.array([3.0, high]))
+        # Infinite bounds stay valid.
+        full = index.query_batch(np.array([-np.inf]), np.array([np.inf]))
+        assert abs(full.values[0] - 1000.0) <= index.certified_bound
+
+    def test_two_key_index_scalar_and_batch(self):
+        grid = np.arange(10.0)
+        xs, ys = (axis.ravel() for axis in np.meshgrid(grid, grid))
+        index = PolyFit2DIndex.build(xs, ys, delta=5.0, grid_resolution=16)
+        for bad in range(4):
+            bounds = [0.0, 5.0, 0.0, 5.0]
+            bounds[bad] = np.nan
+            with pytest.raises(QueryError):
+                index.query(RangeQuery2D(*bounds))
+            with pytest.raises(QueryError):
+                index.query_batch(*(np.array([b]) for b in bounds))
+        assert index.exact_batch(*(np.array([b]) for b in (-np.inf, np.inf, -np.inf, np.inf)))[0] == 100
+
+    def test_overlay_batch(self):
+        index = UpdatablePolyFitIndex.build(
+            np.arange(1000.0), aggregate=Aggregate.COUNT, delta=5.0
+        )
+        index.insert(np.array([3.5, 700.5]))
+        overlay = index.snapshot()
+        for low, high in self.NAN_PAIRS:
+            for call in (overlay.query_batch, overlay.estimate_batch, overlay.exact_batch):
+                with pytest.raises(QueryError):
+                    call(np.array([low]), np.array([high]))
+        assert overlay.exact_batch(np.array([-np.inf]), np.array([np.inf]))[0] == 1002.0

@@ -291,3 +291,93 @@ class TestHttpResilience:
             ),
         )
         assert len(body["values"]) == 2 and body["partial"] is False
+
+
+# --------------------------------------------------------------------- #
+# Hostile requests: malformed framing and NaN bounds
+# --------------------------------------------------------------------- #
+
+
+def _raw_exchange(base_url, request_bytes):
+    """Send raw bytes, read until the server closes, return (status, headers, body).
+
+    A server that answers but keeps the connection open makes ``recv`` time
+    out, so returning at all proves the connection was closed.
+    """
+    import socket
+
+    host, port = base_url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+        sock.sendall(request_bytes)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, json.loads(body)
+
+
+def _small_index():
+    keys = np.arange(1000.0)
+    return PolyFitIndex.build(keys, aggregate=Aggregate.COUNT, delta=5.0, config=FAST)
+
+
+class TestHostileRequests:
+    @pytest.mark.parametrize(
+        "length, status",
+        [("abc", 400), ("-5", 400), ("1.5", 400), ("²", 400),
+         (str(64 * 1024 * 1024 + 1), 413), ("9" * 5000, 413)],
+        ids=["letters", "negative", "fractional", "unicode-digit", "over-limit", "huge"],
+    )
+    def test_bad_content_length_is_typed_error_and_closes(self, length, status):
+        index = _small_index()
+        request = (
+            f"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n"
+            "Connection: keep-alive\r\n\r\n"
+        ).encode("latin-1")
+        got_status, headers, body = _with_server(
+            lambda: EngineHost(index), lambda url: _raw_exchange(url, request)
+        )
+        assert got_status == status
+        assert "Content-Length" in body["error"] or "limit" in body["error"]
+        assert headers["Connection"] == "close"
+
+    def test_server_keeps_serving_after_framing_error(self):
+        index = _small_index()
+
+        def scenario(url):
+            _raw_exchange(url, b"POST /query HTTP/1.1\r\nContent-Length: x\r\n\r\n")
+            return _raw_post(url, "/query", {"low": 0.0, "high": 9.0})
+
+        status, _, body = _with_server(lambda: EngineHost(index), scenario)
+        assert status == 200 and abs(body["value"] - 10.0) <= body["error_bound"]
+
+    @pytest.mark.parametrize("low, high", [(float("nan"), 5.0), (2.0, float("nan"))])
+    def test_nan_bounds_are_400(self, low, high):
+        index = _small_index()
+
+        def scenario(url):
+            return (
+                _raw_post(url, "/query", {"low": low, "high": high}),
+                _raw_post(url, "/query_batch", {"lows": [0.0, low], "highs": [9.0, high]}),
+            )
+
+        (s_status, _, s_body), (b_status, _, b_body) = _with_server(
+            lambda: EngineHost(index), scenario
+        )
+        assert s_status == 400 and "invalid" in s_body["error"]
+        assert b_status == 400 and "invalid" in b_body["error"]
+
+    def test_infinite_bounds_are_answered(self):
+        index = _small_index()
+        status, _, body = _with_server(
+            lambda: EngineHost(index),
+            lambda url: _raw_post(
+                url, "/query_batch",
+                {"lows": [float("-inf"), 0.0], "highs": [float("inf"), 9.0]},
+            ),
+        )
+        assert status == 200
+        assert abs(body["values"][0] - 1000.0) <= body["error_bounds"][0]
+        assert all(isinstance(bound, float) for bound in body["error_bounds"])
